@@ -3,7 +3,8 @@
 //! The instrumented kernels in `alya-core` don't just feed the performance
 //! models — their event streams, the modelled address-space layout, and
 //! the coloring infrastructure together make the paper's optimization
-//! claims *mechanically checkable*. This crate runs eleven passes:
+//! claims *mechanically checkable*. This crate runs ten passes, numbered
+//! 1–9 and 11:
 //!
 //! 1. **Contract checker** ([`contracts`]) — per variant, captures element
 //!    traces under **both** addressing conventions (`Layout::gpu` and
@@ -68,14 +69,6 @@
 //!    tenants inside the no-starvation band). The committed
 //!    `BENCH_serve.json` is held to the service floor: ≥ 512 concurrent
 //!    sessions, zero steady-state cold builds, ordered latency quantiles.
-//! 10. **IR-derivation checker** ([`form`]) — derives every variant's
-//!     program from `alya-form`'s single symbolic base description and
-//!     holds both backends to the handwritten truth: generated event
-//!     streams equal to the handwritten kernels' event-for-event (sampled
-//!     elements, both addressing conventions), whole-mesh serial assembly
-//!     through `KernelImpl::Generated` **bitwise** identical to the
-//!     handwritten path, and the trace-derived [`alya_core::KernelContract`]
-//!     equal to the hand-maintained table field-for-field.
 //! 11. **Probe contract** ([`probe`]) — proves the always-on `alya-probe`
 //!     flight recorder is inert and useful: a pipelined distributed
 //!     assembly with the recorder on is **bitwise** identical to one with
@@ -99,7 +92,6 @@
 pub mod comm;
 pub mod contracts;
 pub mod fixture;
-pub mod form;
 pub mod probe;
 pub mod races;
 pub mod sched;
@@ -117,7 +109,7 @@ use std::path::Path;
 /// properly; the invariants are count-independent).
 pub const AUDIT_SHARDS: usize = 8;
 
-/// Combined result of all eleven passes.
+/// Combined result of all passes.
 #[derive(Debug)]
 pub struct AuditReport {
     /// Kernel-contract violations (pass 1).
@@ -150,9 +142,6 @@ pub struct AuditReport {
     /// scenario, plus the committed `BENCH_serve.json` when a workspace
     /// root carried one (pass 9).
     pub serve: serve::ServeContractReport,
-    /// IR-derivation report: generated kernels and derived contracts held
-    /// to the handwritten truth (pass 10).
-    pub form: form::FormReport,
     /// Probe-contract report: recorder transparency, bounded retention,
     /// seeded-stall black-box dump, and sentinel quietness over the
     /// committed bench baselines (pass 11; the sentinel half is
@@ -173,7 +162,6 @@ impl AuditReport {
             && self.lint.is_clean()
             && self.simd.is_clean()
             && self.serve.is_clean()
-            && self.form.is_clean()
             && self.probe.is_clean()
     }
 
@@ -189,7 +177,6 @@ impl AuditReport {
             + self.lint.violations.len()
             + self.simd.violations.len()
             + self.serve.violations.len()
-            + self.form.violations.len()
             + self.probe.violations.len()
     }
 }
@@ -219,7 +206,6 @@ pub fn run_audit(workspace_root: Option<&Path>) -> AuditReport {
             .unwrap_or_default(),
         simd: simd::check_workspace_simd(workspace_root),
         serve: serve::check_serve(workspace_root),
-        form: form::check_form(&input),
         probe: probe::check_probe(&input, workspace_root),
     }
 }

@@ -1,21 +1,15 @@
 //! Benchmarks of the extension subsystems: mixed-element assembly, the
-//! tetrahedral decomposition, halo-exchange assembly, multigrid
-//! preconditioning, and reuse-distance analysis.
+//! tetrahedral decomposition, and reuse-distance analysis.
 
 use alya_bench::harness::{Criterion, Throughput};
 use alya_bench::{criterion_group, criterion_main};
 
 use alya_core::kernels::generic::{assemble_mixed, MixedInput};
-use alya_core::{AssemblyInput, Variant};
 use alya_fem::material::ConstantProperties;
 use alya_fem::{ScalarField, VectorField};
 use alya_machine::reuse::analyze;
 use alya_machine::NoRecord;
 use alya_mesh::mixed::mixed_box;
-use alya_mesh::BoxMeshBuilder;
-use alya_solver::halo::{assemble_distributed, DistributedMesh};
-use alya_solver::multigrid::{solve_pcg, Jacobi, TwoLevelMg};
-use alya_solver::poisson::{laplacian, lumped_mass};
 
 fn bench_subsystems(c: &mut Criterion) {
     // Mixed-element assembly (hex + prism blocks) vs its tet decomposition.
@@ -37,53 +31,6 @@ fn bench_subsystems(c: &mut Criterion) {
         b.iter(|| assemble_mixed(&minput, &mut NoRecord));
     });
     group.bench_function("to_tets_decomposition", |b| b.iter(|| mixed.to_tets()));
-    group.finish();
-
-    // Distributed halo assembly.
-    let mesh = BoxMeshBuilder::new(10, 10, 5).build();
-    let vel = VectorField::from_fn(&mesh, |p| [p[2], 0.1 * p[0], 0.0]);
-    let pre = ScalarField::zeros(mesh.num_nodes());
-    let tem = ScalarField::zeros(mesh.num_nodes());
-    let input = AssemblyInput::new(&mesh, &vel, &pre, &tem);
-    let dist = DistributedMesh::build(&mesh, 8);
-    let mut group = c.benchmark_group("halo_assembly");
-    group.throughput(Throughput::Elements(mesh.num_elements() as u64));
-    group.sample_size(10);
-    group.bench_function("8_ranks", |b| {
-        b.iter(|| assemble_distributed(Variant::Rsp, &input, &dist));
-    });
-    group.finish();
-
-    // Multigrid-PCG vs Jacobi-PCG on the shifted Laplacian.
-    let pm = BoxMeshBuilder::new(10, 10, 10).build();
-    let lap = laplacian(&pm);
-    let mass = lumped_mass(&pm);
-    let mut trips = Vec::new();
-    for r in 0..lap.num_rows() {
-        let (cols, vals) = lap.row(r);
-        for (col, v) in cols.iter().zip(vals) {
-            trips.push((r as u32, *col, *v));
-        }
-        trips.push((r as u32, r as u32, 0.1 * mass[r]));
-    }
-    let a = alya_solver::CsrMatrix::from_triplets(lap.num_rows(), lap.num_cols(), trips);
-    let b_rhs: Vec<f64> = pm.coords().iter().map(|p| (3.0 * p[0]).sin()).collect();
-    let mut group = c.benchmark_group("pressure_preconditioners");
-    group.sample_size(10);
-    group.bench_function("jacobi_pcg", |bch| {
-        let j = Jacobi::new(&a.diagonal());
-        bch.iter(|| {
-            let mut x = vec![0.0; b_rhs.len()];
-            solve_pcg(&a, &j, &b_rhs, &mut x, 1e-8, 2000).iterations
-        });
-    });
-    group.bench_function("mg_pcg", |bch| {
-        let mg = TwoLevelMg::new(&pm, a.clone(), 48);
-        bch.iter(|| {
-            let mut x = vec![0.0; b_rhs.len()];
-            solve_pcg(&a, &mg, &b_rhs, &mut x, 1e-8, 2000).iterations
-        });
-    });
     group.finish();
 
     // Reuse-distance analysis throughput.

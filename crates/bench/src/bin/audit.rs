@@ -1,4 +1,4 @@
-//! The static-analysis audit: runs all eleven `alya-analyze` passes and
+//! The static-analysis audit: runs all `alya-analyze` passes and
 //! exits nonzero on any violation, so CI can gate on it.
 //!
 //! Usage:
@@ -25,8 +25,6 @@
 //! audit --seed-violation missing-safety  # unsafe without SAFETY linkage
 //! audit --seed-violation slot-leak       # skip a warm-bind rewind; expect
 //!                                        # the pass-9 isolation check
-//! audit --seed-violation ir-contract-drift # perturb a derived contract;
-//!                                        # expect the pass-10 parity check
 //! audit --seed-violation perf-regression # skew the live throughput against
 //!                                        # the committed baselines; expect
 //!                                        # the pass-11 sentinel to fire
@@ -41,7 +39,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use alya_analyze::{comm, contracts, form, probe, races, serve, simd, sources, telemetry, Fixture};
+use alya_analyze::{comm, contracts, probe, races, serve, simd, sources, telemetry, Fixture};
 use alya_core::drivers::{trace_element, ThroughputDb};
 use alya_core::layout::{self, Layout};
 use alya_core::{DistributedDriver, HaloFault, Variant};
@@ -133,22 +131,6 @@ fn full_audit() -> ExitCode {
     println!("\nserve contract audit");
     println!("====================");
     println!("  {}", report.serve);
-
-    println!("\nIR-derivation audit");
-    println!("===================");
-    match report.form.violations.len() {
-        0 => println!(
-            "  PASS: {} variant(s) derived from one base form; {} event stream(s), \
-             whole-mesh bitwise output and every contract field match handwritten",
-            report.form.variants_checked, report.form.streams_compared
-        ),
-        n => {
-            println!("  FAIL: {n} derivation violation(s)");
-            for v in &report.form.violations {
-                println!("    {v}");
-            }
-        }
-    }
 
     println!("\nprobe contract audit");
     println!("====================");
@@ -242,9 +224,6 @@ fn list_modes() -> ExitCode {
     println!("                          agree with the CPU model's packed-speedup prediction");
     println!("  9  serve contract       pooled multi-tenant isolation, per-tenant conservation,");
     println!("                          DRR fairness, and the BENCH_serve.json service floor");
-    println!("  10 IR derivation        every variant derived from the one symbolic base form:");
-    println!("                          generated event streams, bitwise whole-mesh output and");
-    println!("                          trace-derived contracts all equal to handwritten truth");
     println!("  11 probe contract       flight recorder bitwise-transparent and bounded, seeded");
     println!("                          stalls leave a diagnosing black-box dump, and the perf");
     println!("                          sentinel stays quiet on the committed bench baselines");
@@ -303,10 +282,6 @@ const SEED_MODES: &[(&str, &str)] = &[
     (
         "slot-leak",
         "skip the warm-bind rewind on a reused slot; pass 9's isolation check must flag it",
-    ),
-    (
-        "ir-contract-drift",
-        "perturb a derived contract off the hand-maintained table; pass 10 must flag the drift",
     ),
     (
         "perf-regression",
@@ -520,26 +495,6 @@ fn seeded(mode: &str) -> ExitCode {
             !report.is_clean()
                 && report.violations.iter().any(|v| v.contains("regressed"))
                 && report.cells.len() == clean.cells.len()
-        }
-        "ir-contract-drift" => {
-            // Drift the RSPR contract the way a stale hand-maintained table
-            // (or a silently changed rewrite pass) would: one flop and a
-            // few registers off. The field-for-field parity check must name
-            // exactly the drifted fields, and the clean derivation must
-            // still pass beforehand.
-            let clean = form::check_form(&input);
-            if !clean.is_clean() {
-                eprintln!("fixture derivation unexpectedly dirty: {clean:#?}");
-                return ExitCode::FAILURE;
-            }
-            let mut drifted = alya_form::derive_contract(&alya_form::derive(Variant::Rspr));
-            drifted.flops += 1;
-            drifted.max_pressure = drifted.max_pressure.map(|p| p + 3);
-            let violations = form::check_derived_contract(Variant::Rspr, &drifted);
-            for v in &violations {
-                println!("{v}");
-            }
-            violations.len() == 2 && violations.iter().all(|v| v.message.contains("drifted"))
         }
         "slot-leak" => {
             // Skip the warm-bind rewind on every reused slot: a re-admitted

@@ -41,6 +41,7 @@ use std::time::Instant;
 use alya_analyze::comm::check_exchange;
 use alya_analyze::sched::check_run;
 use alya_bench::case::Case;
+use alya_bench::harness::median;
 use alya_core::nut::compute_nu_t;
 use alya_core::{DistributedDriver, Variant};
 use alya_machine::par;
@@ -118,7 +119,7 @@ fn time_runs(samples: usize, mut body: impl FnMut()) -> (f64, f64, f64, f64) {
     }
     t.sort_by(f64::total_cmp);
     w.sort_by(f64::total_cmp);
-    (t[t.len() / 2], t[0], t[t.len() - 1], w[w.len() / 2])
+    (median(&t), t[0], t[t.len() - 1], median(&w))
 }
 
 struct Row {

@@ -37,6 +37,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use alya_bench::case::Case;
+use alya_bench::harness::median;
 use alya_core::kernels::packed::pack_supported;
 use alya_core::nut::compute_nu_t;
 use alya_core::{
@@ -161,7 +162,7 @@ fn time_runs(samples: usize, mut body: impl FnMut()) -> (f64, f64, f64) {
         t.push(t0.elapsed().as_secs_f64());
     }
     t.sort_by(f64::total_cmp);
-    (t[t.len() / 2], t[0], t[t.len() - 1])
+    (median(&t), t[0], t[t.len() - 1])
 }
 
 struct Row {

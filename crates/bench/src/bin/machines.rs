@@ -4,15 +4,10 @@
 //! how the optimization gap widens as machine balance shifts toward
 //! compute.
 //!
-//! Usage: `machines [mesh_elems] [--pipelined] [--trace PATH]`
-//! (default 40000). `--pipelined` runs the CPU sweep through the async
-//! harness ([`alya_bench::pipeline::cpu_report_pipelined`]): trace
-//! generation on a producer thread, model replay on this one,
-//! double-buffered hand-off — same numbers, overlapped wall clock.
+//! Usage: `machines [mesh_elems] [--trace PATH]` (default 40000).
 //! `--trace` dumps per-machine simulation spans as chrome trace JSON.
 
 use alya_bench::case::Case;
-use alya_bench::pipeline::cpu_report_pipelined;
 use alya_bench::profile::{cpu_report, gpu_report};
 use alya_bench::report::{num, Table};
 use alya_bench::{CALLS_PER_RUNTIME, PAPER_ELEMS};
@@ -24,13 +19,11 @@ use alya_machine::spec::{CpuSpec, GpuSpec};
 use alya_telemetry as telemetry;
 
 fn main() {
-    let mut pipelined = false;
     let mut elems: usize = 40_000;
     let mut trace = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--pipelined" => pipelined = true,
             "--trace" => match it.next() {
                 Some(p) => trace = Some(p),
                 None => {
@@ -41,7 +34,7 @@ fn main() {
             other => match other.parse() {
                 Ok(n) => elems = n,
                 Err(_) => {
-                    eprintln!("usage: machines [mesh_elems] [--pipelined] [--trace PATH]");
+                    eprintln!("usage: machines [mesh_elems] [--trace PATH]");
                     std::process::exit(1);
                 }
             },
@@ -96,13 +89,8 @@ fn main() {
         let _sp = telemetry::span(format!("cpu-sim:{name}"));
         let mut model = CpuModel::new(spec);
         model.sample_packs = 64;
-        let run = if pipelined {
-            cpu_report_pipelined
-        } else {
-            cpu_report
-        };
-        let b = run(Variant::B, &input, &model, PAPER_ELEMS);
-        let rsp = run(Variant::Rsp, &input, &model, PAPER_ELEMS);
+        let b = cpu_report(Variant::B, &input, &model, PAPER_ELEMS);
+        let rsp = cpu_report(Variant::Rsp, &input, &model, PAPER_ELEMS);
         let tb = model.scale(&b, PAPER_ELEMS, workers) * CALLS_PER_RUNTIME * 1e3;
         let tr = model.scale(&rsp, PAPER_ELEMS, workers) * CALLS_PER_RUNTIME * 1e3;
         t.row([

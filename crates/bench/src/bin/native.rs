@@ -8,6 +8,7 @@
 use std::time::Instant;
 
 use alya_bench::case::Case;
+use alya_bench::harness::median;
 use alya_bench::report::{num, Table};
 use alya_core::nut::compute_nu_t;
 use alya_core::{assemble_parallel, assemble_serial, ParallelStrategy, Variant};
@@ -64,8 +65,8 @@ fn main() {
         }
         serial_times.sort_by(f64::total_cmp);
         par_times.sort_by(f64::total_cmp);
-        let s = serial_times[repeats / 2];
-        let p = par_times[repeats / 2];
+        let s = median(&serial_times);
+        let p = median(&par_times);
         if variant == Variant::B {
             serial_base = s;
         }

@@ -114,7 +114,7 @@ impl BenchmarkGroup {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
+        let median = median(&sorted);
         let lo = sorted[0];
         let hi = sorted[sorted.len() - 1];
         let rate = match self.throughput {
@@ -130,6 +130,17 @@ impl BenchmarkGroup {
             fmt_secs(lo),
             fmt_secs(hi)
         );
+    }
+}
+
+/// Median of an ascending-sorted, non-empty sample: the middle sample at
+/// odd counts, the midpoint of the two middle samples at even counts.
+pub fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
     }
 }
 
@@ -215,6 +226,14 @@ mod tests {
             });
         });
         assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn median_takes_the_midpoint_at_even_sample_counts() {
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[1.0, 4.0]), 2.5);
+        assert_eq!(median(&[1.0, 2.0, 9.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 4.0, 9.0]), 3.0);
     }
 
     #[test]

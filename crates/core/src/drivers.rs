@@ -79,93 +79,6 @@ pub fn assemble_element<R: Recorder, S: ScatterSink>(
     }
 }
 
-/// A kernel whose element body was *derived* (e.g. interpreted from the
-/// `alya-form` symbolic IR) rather than handwritten. Implementations must
-/// compute exactly one element's RHS contribution and report it through
-/// `emit(node, component, value)` in the same order the handwritten
-/// kernel's scatter would.
-pub trait GeneratedKernel: Sync {
-    /// The variant this kernel claims to implement — drivers use it for
-    /// workspace sizing, the ν_t pre-pass and telemetry naming.
-    fn variant(&self) -> Variant;
-    /// Runs one element. `ws_buf`/`stride`/`lane` follow the same
-    /// conventions as [`assemble_element`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_element(
-        &self,
-        input: &AssemblyInput,
-        e: usize,
-        lay: &Layout,
-        ws_buf: &mut [f64],
-        stride: usize,
-        lane: usize,
-        emit: &mut dyn FnMut(u32, usize, f64),
-    );
-}
-
-/// Which element body a driver executes: the handwritten kernel of a
-/// [`Variant`], or a [`GeneratedKernel`] derived from the symbolic IR.
-///
-/// `From<Variant>` keeps every existing `assemble_*_with(variant, …)` call
-/// site source-compatible.
-#[derive(Clone, Copy)]
-pub enum KernelImpl<'k> {
-    /// The hand-maintained kernel in `crates/core/src/kernels/`.
-    Handwritten(Variant),
-    /// A derived kernel (the `KernelImpl::Generated` path).
-    Generated(&'k dyn GeneratedKernel),
-}
-
-impl KernelImpl<'_> {
-    /// The variant whose contract/workspace conventions this kernel follows.
-    pub fn variant(&self) -> Variant {
-        match self {
-            KernelImpl::Handwritten(v) => *v,
-            KernelImpl::Generated(k) => k.variant(),
-        }
-    }
-}
-
-impl From<Variant> for KernelImpl<'static> {
-    fn from(v: Variant) -> Self {
-        KernelImpl::Handwritten(v)
-    }
-}
-
-/// Dispatches one element to either kernel implementation, scattering
-/// through `sink`. The generated path funnels `emit` calls into the sink
-/// untraced — tracing generated kernels is the form crate's interpreter's
-/// job, not the drivers'.
-#[allow(clippy::too_many_arguments)]
-fn run_kernel_element<S: ScatterSink>(
-    kernel: KernelImpl<'_>,
-    input: &AssemblyInput,
-    e: usize,
-    lay: &Layout,
-    ws_buf: &mut [f64],
-    stride: usize,
-    lane: usize,
-    sink: &mut S,
-) {
-    match kernel {
-        KernelImpl::Handwritten(variant) => assemble_element(
-            variant,
-            input,
-            e,
-            lay,
-            ws_buf,
-            stride,
-            lane,
-            sink,
-            &mut NoRecord,
-        ),
-        KernelImpl::Generated(k) => {
-            let mut emit = |n: u32, d: usize, v: f64| sink.add(n, d, v, lay, &mut NoRecord);
-            k.run_element(input, e, lay, ws_buf, stride, lane, &mut emit);
-        }
-    }
-}
-
 /// Attaches the ν_t pass output when the variant needs it, then calls `f`.
 pub(crate) fn with_nut<T>(
     variant: Variant,
@@ -184,13 +97,6 @@ pub(crate) fn with_nut<T>(
 
 /// Serial assembly over the whole mesh (the reference implementation).
 pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
-    assemble_serial_kernel(KernelImpl::Handwritten(variant), input)
-}
-
-/// [`assemble_serial`] generalized over the element body — the handwritten
-/// kernels and the IR-derived ones share this driver verbatim.
-fn assemble_serial_kernel(kernel: KernelImpl<'_>, input: &AssemblyInput) -> VectorField {
-    let variant = kernel.variant();
     let _sp = telemetry::span(format!("assemble:serial:{}", variant.name()));
     with_nut(variant, input, |input| {
         let nn = input.mesh.num_nodes();
@@ -203,8 +109,8 @@ fn assemble_serial_kernel(kernel: KernelImpl<'_>, input: &AssemblyInput) -> Vect
         for e in 0..ne {
             let lane = e % CPU_VECTOR_DIM;
             let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            run_kernel_element(
-                kernel,
+            assemble_element(
+                variant,
                 input,
                 e,
                 &lay,
@@ -212,6 +118,7 @@ fn assemble_serial_kernel(kernel: KernelImpl<'_>, input: &AssemblyInput) -> Vect
                 CPU_VECTOR_DIM,
                 lane,
                 &mut sink,
+                &mut NoRecord,
             );
         }
         rhs
@@ -246,21 +153,17 @@ impl ExecMode {
     }
 }
 
-/// [`assemble_serial`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit. Packed execution only
-/// exists for handwritten kernels with a packed twin; generated kernels
-/// always take the scalar path.
-pub fn assemble_serial_with<'k>(
-    kernel: impl Into<KernelImpl<'k>>,
+/// [`assemble_serial`] with the execution mode made explicit. Variants
+/// without a packed twin take the scalar path in either mode.
+pub fn assemble_serial_with(
+    variant: Variant,
     input: &AssemblyInput,
     mode: ExecMode,
 ) -> VectorField {
-    let kernel = kernel.into();
-    match (kernel, mode) {
-        (KernelImpl::Handwritten(v), ExecMode::Packed) if packed::pack_supported(v) => {
-            assemble_serial_packed(v, input)
-        }
-        _ => assemble_serial_kernel(kernel, input),
+    if mode == ExecMode::Packed && packed::pack_supported(variant) {
+        assemble_serial_packed(variant, input)
+    } else {
+        assemble_serial(variant, input)
     }
 }
 
@@ -843,17 +746,6 @@ pub fn assemble_parallel(
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
 ) -> VectorField {
-    assemble_parallel_kernel(KernelImpl::Handwritten(variant), input, strategy)
-}
-
-/// [`assemble_parallel`] generalized over the element body — every scatter
-/// discipline runs handwritten and IR-derived kernels identically.
-fn assemble_parallel_kernel(
-    kernel: KernelImpl<'_>,
-    input: &AssemblyInput,
-    strategy: &ParallelStrategy,
-) -> VectorField {
-    let variant = kernel.variant();
     let _sp = telemetry::span(format!("assemble:{}:{}", strategy.name(), variant.name()));
     with_nut(variant, input, |input| {
         let nn = input.mesh.num_nodes();
@@ -869,7 +761,17 @@ fn assemble_parallel_kernel(
                 acc: [[0.0; 3]; 4],
             };
             let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            run_kernel_element(kernel, input, e, &lay, ws_buf, 1, 0, &mut sink);
+            assemble_element(
+                variant,
+                input,
+                e,
+                &lay,
+                ws_buf,
+                1,
+                0,
+                &mut sink,
+                &mut NoRecord,
+            );
             sink
         };
 
@@ -911,8 +813,16 @@ fn assemble_parallel_kernel(
                         |ws_buf, &e| {
                             let mut sink = ColoredSink { shared: &shared };
                             let lay = Layout::cpu(e as usize, CPU_VECTOR_DIM, nn);
-                            run_kernel_element(
-                                kernel, input, e as usize, &lay, ws_buf, 1, 0, &mut sink,
+                            assemble_element(
+                                variant,
+                                input,
+                                e as usize,
+                                &lay,
+                                ws_buf,
+                                1,
+                                0,
+                                &mut sink,
+                                &mut NoRecord,
                             );
                         },
                     );
@@ -982,7 +892,17 @@ fn assemble_parallel_kernel(
                                 buf: &mut local,
                             };
                             let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-                            run_kernel_element(kernel, input, e, &lay, ws_buf, 1, 0, &mut sink);
+                            assemble_element(
+                                variant,
+                                input,
+                                e,
+                                &lay,
+                                ws_buf,
+                                1,
+                                0,
+                                &mut sink,
+                                &mut NoRecord,
+                            );
                         }
                         shard_finish(shard, &local, shared, nn)
                     },
@@ -998,22 +918,18 @@ fn assemble_parallel_kernel(
     })
 }
 
-/// [`assemble_parallel`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit. Packed execution only
-/// exists for handwritten kernels with a packed twin; generated kernels
-/// always take the scalar path.
-pub fn assemble_parallel_with<'k>(
-    kernel: impl Into<KernelImpl<'k>>,
+/// [`assemble_parallel`] with the execution mode made explicit. Variants
+/// without a packed twin take the scalar path in either mode.
+pub fn assemble_parallel_with(
+    variant: Variant,
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
     mode: ExecMode,
 ) -> VectorField {
-    let kernel = kernel.into();
-    match (kernel, mode) {
-        (KernelImpl::Handwritten(v), ExecMode::Packed) if packed::pack_supported(v) => {
-            assemble_parallel_packed(v, input, strategy)
-        }
-        _ => assemble_parallel_kernel(kernel, input, strategy),
+    if mode == ExecMode::Packed && packed::pack_supported(variant) {
+        assemble_parallel_packed(variant, input, strategy)
+    } else {
+        assemble_parallel(variant, input, strategy)
     }
 }
 

@@ -10,10 +10,9 @@
 //! once.
 //!
 //! They must be *bitwise* and *event-stream* neutral: every caller's
-//! recorded trace is pinned by the contract checker (pass 1), by the
-//! IR-derivation checker (pass 10), and by the bitwise equivalence suite,
-//! so a helper that reorders one load or one `Def` fails three audits at
-//! once. Helpers take the caller's catalog offsets and its `PrivAlloc` so
+//! recorded trace is pinned by the contract checker (pass 1) and by the
+//! bitwise equivalence suite, so a helper that reorders one load or one
+//! `Def` fails both at once. Helpers take the caller's catalog offsets and its `PrivAlloc` so
 //! the address and id sequences are exactly what the inlined code
 //! produced.
 

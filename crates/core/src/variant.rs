@@ -262,8 +262,11 @@ mod tests {
     #[test]
     fn catalog_sizes_mirror_the_paper() {
         // Paper: 430 values in 32 arrays -> RS reduces to 130 in 13.
+        // Ours: 441 in 25 -> 103 in 13 -> 0 (the footprint trajectory).
         assert!(Variant::B.nvalues() > 400);
         assert!((100..150).contains(&Variant::Rs.nvalues()));
+        assert_eq!(Variant::ALL.map(Variant::nvalues), [441, 441, 103, 0, 0]);
+        assert_eq!(Variant::B.num_arrays(), 25);
         assert_eq!(Variant::Rs.num_arrays(), 13);
         assert_eq!(Variant::Rsp.nvalues(), 0);
     }

@@ -4,8 +4,7 @@
 //! the kernel (RSPR: immediate scatter, no spilled intermediates). At the
 //! multi-rank level the analogous dead time is the halo exchange the
 //! distributed driver would otherwise run back-to-back with assembly.
-//! This crate provides the scheduling substrate both overlap consumers
-//! share:
+//! This crate provides that scheduling substrate:
 //!
 //! * [`Pipeline`] — a handful of named stages with **typed dependencies**
 //!   (a stage only names stages created before it, so the graph is a DAG
@@ -15,10 +14,6 @@
 //!   stages **in creation order** on a single thread, which keeps every
 //!   interleaving decision deterministic and auditable — concurrency
 //!   lives in the rank threads *around* pipelines, never inside one.
-//! * [`DoubleBuffer`] — a depth-2 versioned channel for handing batches
-//!   between a producer thread and a consumer thread (the bench
-//!   harness's pipelined trace replay), with publish/take timeouts so a
-//!   wedged side surfaces as an error instead of a hang.
 //! * [`Watchdog`] / [`Stall`] — if no stage makes progress for the
 //!   configured window, [`Pipeline::run`] returns a [`Stall`] naming the
 //!   unretired stages instead of spinning forever. The audit binary's
@@ -31,10 +26,8 @@
 
 #![forbid(unsafe_code)]
 
-mod buffer;
 mod stage;
 mod trace;
 
-pub use buffer::{BufferError, DoubleBuffer};
 pub use stage::{Pipeline, StageCtx, StageStatus, Stall, Watchdog};
 pub use trace::{BufId, BufMeta, SchedEvent, SchedTrace, StageId, StageMeta};

@@ -7,12 +7,16 @@
 //! the examples can run an actual simulation end to end:
 //!
 //! * [`csr`] — compressed sparse row matrices with thread-parallel SpMV;
-//! * [`cg`] — Jacobi-preconditioned conjugate gradients;
+//! * [`cg`] — Jacobi-preconditioned conjugate gradients, the one CG loop;
 //! * [`poisson`] — the pressure-Poisson operator (P1 Laplacian), lumped
 //!   mass matrix, and weak divergence/gradient operators;
 //! * [`step`] — the fractional-step integrator: explicit momentum
 //!   prediction with the assembly variant of your choice, pressure
-//!   projection, velocity correction.
+//!   projection, velocity correction;
+//! * [`vtk`] — legacy-VTK output of the mesh and its fields.
+//!
+//! Distributed assembly lives in `alya-core`'s `DistributedDriver` over
+//! `alya-comm`.
 //!
 //! ```
 //! use alya_solver::step::{FractionalStep, StepConfig};
@@ -30,8 +34,6 @@
 
 pub mod cg;
 pub mod csr;
-pub mod halo;
-pub mod multigrid;
 pub mod poisson;
 pub mod step;
 pub mod vtk;

@@ -4,7 +4,8 @@
 //! process-wide thread cap — and whether compute/exchange overlap is on
 //! or off — honors the analyzer's comm contract on random meshes, and the
 //! committed `BENCH_comm.json` matches the recomputed closed-form halo
-//! budget and records a real overlap win. A pipelined run inside a
+//! budget and records a real overlap win, and the halo volume scales with
+//! the interface, not the volume. A pipelined run inside a
 //! telemetry session must also emit a contract-exact Table-I profile and
 //! a chrome trace whose halo-drain spans overlap interior assembly.
 
@@ -104,6 +105,28 @@ fn overlap_on_and_off_agree_bitwise_for_every_variant_and_rank_count() {
             assert_eq!(ra, rb, "{variant} × {ranks} ranks: comm report diverged");
         }
     }
+}
+
+#[test]
+fn halo_volume_scales_with_interface_not_volume() {
+    // Doubling the mesh along the bisection axis doubles the work but
+    // keeps the two-rank interface the same size: live halo bytes per
+    // element must fall. A single rank exchanges nothing at all.
+    let per_elem = |mesh: &TetMesh| {
+        let (v, p, t) = fields(mesh);
+        let input = AssemblyInput::new(mesh, &v, &p, &t);
+        let (_, single) = DistributedDriver::new(mesh, 1).assemble(Variant::Rsp, &input);
+        assert_eq!(single.total_messages(), 0);
+        let (_, report) = DistributedDriver::new(mesh, 2).assemble(Variant::Rsp, &input);
+        assert!(report.total_messages() > 0, "no halo traffic at 2 ranks");
+        report.total_bytes() as f64 / mesh.num_elements() as f64
+    };
+    let small = per_elem(&BoxMeshBuilder::new(4, 4, 4).build());
+    let large = per_elem(&BoxMeshBuilder::new(8, 4, 4).extent(2.0, 1.0, 1.0).build());
+    assert!(
+        large < 0.75 * small,
+        "surface-to-volume not visible: {small} vs {large} B/elem"
+    );
 }
 
 /// The PR-acceptance run: a 4-rank pipelined assembly on a mesh big
