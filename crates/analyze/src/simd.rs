@@ -1,6 +1,6 @@
 //! Pass 8 — the SIMD-contract (packed-vs-scalar) checker.
 //!
-//! The lane-packed execution path ([`alya_core::kernels::packed`]) exists
+//! The lane-packed execution path ([`alya_core::ExecMode::Packed`]) exists
 //! for one reason: cross-element SIMD must actually be faster than the
 //! scalar path, and by roughly the amount the CPU machine model predicts
 //! from the instruction mix. This pass holds the committed
@@ -27,8 +27,7 @@
 
 use std::path::Path;
 
-use alya_core::drivers::{trace_element, ThroughputDb, CPU_VECTOR_DIM};
-use alya_core::kernels::packed::pack_supported;
+use alya_core::drivers::{pack_supported, trace_element, ThroughputDb, CPU_VECTOR_DIM};
 use alya_core::layout::Layout;
 use alya_core::{AssemblyInput, Variant, DEFAULT_LANES};
 use alya_machine::cpu::CpuModel;

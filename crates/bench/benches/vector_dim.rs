@@ -5,8 +5,8 @@ use alya_bench::harness::{BenchmarkId, Criterion, Throughput};
 use alya_bench::{criterion_group, criterion_main};
 
 use alya_bench::case::Case;
-use alya_core::drivers::assemble_element;
-use alya_core::gather::DirectSink;
+use alya_core::gather::{DirectSink, ElemFrame};
+use alya_core::kernels;
 use alya_core::layout::Layout;
 use alya_core::nut::compute_nu_t;
 use alya_core::Variant;
@@ -23,15 +23,15 @@ fn assemble_with_vector_dim(input: &alya_core::AssemblyInput, vector_dim: usize)
     let mut sink = DirectSink { rhs: &mut rhs };
     for e in 0..ne {
         let lay = Layout::cpu(e, vector_dim, nn);
-        assemble_element(
+        let mut frame = ElemFrame::load(input, e, &lay, &mut sink, &mut NoRecord);
+        let lane = e % vector_dim;
+        kernels::run(
             variant,
             input,
-            e,
-            &lay,
+            &mut frame,
             &mut ws_buf,
             vector_dim,
-            e % vector_dim,
-            &mut sink,
+            lane,
             &mut NoRecord,
         );
     }

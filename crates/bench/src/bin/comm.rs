@@ -61,14 +61,14 @@ struct Args {
     probe_dump: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut elems = None;
     let mut samples = None;
     let mut json = None;
     let mut trace = None;
     let mut probe_dump = None;
     let mut quick = false;
-    let mut it = std::env::args().skip(1);
+    let mut it = args;
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
@@ -78,7 +78,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--samples" => {
                 let v = it.next().ok_or("--samples needs a value")?;
-                samples = Some(v.parse::<usize>().map_err(|e| format!("--samples: {e}"))?);
+                let n = v.parse::<usize>().map_err(|e| format!("--samples: {e}"))?;
+                if n == 0 {
+                    return Err("--samples needs a positive count".into());
+                }
+                samples = Some(n);
             }
             "--json" => json = Some(it.next().ok_or("--json needs a path")?),
             "--trace" => trace = Some(it.next().ok_or("--trace needs a path")?),
@@ -142,7 +146,7 @@ struct Row {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -321,4 +325,23 @@ fn render_json(args: &Args, ne: usize, nn: usize, hw: usize, rows: &[Row]) -> St
     s.push_str(&rendered.join(",\n"));
     s.push_str("\n  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn zero_samples_are_a_usage_error() {
+        let err = parse(&["--quick", "--samples", "0"]).err();
+        assert_eq!(err.as_deref(), Some("--samples needs a positive count"));
+        assert_eq!(
+            parse(&["--quick", "--samples", "1"]).map(|a| a.samples),
+            Ok(1)
+        );
+    }
 }

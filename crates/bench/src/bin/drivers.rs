@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use alya_bench::case::Case;
 use alya_bench::harness::median;
-use alya_core::kernels::packed::pack_supported;
+use alya_core::drivers::pack_supported;
 use alya_core::nut::compute_nu_t;
 use alya_core::{
     assemble_parallel_with, assemble_serial_with, ExecMode, ParallelStrategy, Variant,
@@ -89,7 +89,7 @@ fn parse_variants(list: &str) -> Result<Vec<Variant>, String> {
     Ok(out)
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut elems = None;
     let mut samples = None;
     let mut threads = None;
@@ -99,7 +99,7 @@ fn parse_args() -> Result<Args, String> {
     let mut probe_dump = None;
     let mut quick = false;
     let mut assert_packed = false;
-    let mut it = std::env::args().skip(1);
+    let mut it = args;
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
@@ -110,7 +110,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--samples" => {
                 let v = it.next().ok_or("--samples needs a value")?;
-                samples = Some(v.parse::<usize>().map_err(|e| format!("--samples: {e}"))?);
+                let n = v.parse::<usize>().map_err(|e| format!("--samples: {e}"))?;
+                if n == 0 {
+                    return Err("--samples needs a positive count".into());
+                }
+                samples = Some(n);
             }
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a comma-separated list")?;
@@ -187,7 +191,7 @@ fn powers_of_two_up_to(n: usize) -> Vec<usize> {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -284,9 +288,9 @@ fn main() {
 
         for (name, strategy) in &strategies {
             for &variant in &variants {
-                // Scalar always; the lane-packed twin for every concrete
+                // Scalar always; packed too for every concrete
                 // pack-supported configuration (auto re-times a concrete
-                // strategy, so its packed twin would be a duplicate row).
+                // strategy, so its packed row would be a duplicate).
                 let mut modes = vec![ExecMode::Scalar];
                 if pack_supported(variant) && !name.starts_with("auto") {
                     modes.push(ExecMode::Packed);
@@ -447,4 +451,28 @@ fn render_json(
     s.push_str(&rendered.join(",\n"));
     s.push_str("\n  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn zero_samples_are_a_usage_error() {
+        let err = parse(&["--quick", "--samples", "0"]).err();
+        assert_eq!(err.as_deref(), Some("--samples needs a positive count"));
+        assert_eq!(
+            parse(&["--quick", "--samples", "1"]).map(|a| a.samples),
+            Ok(1)
+        );
+    }
+
+    #[test]
+    fn zero_threads_are_a_usage_error() {
+        assert!(parse(&["--threads", "1,0"]).is_err());
+    }
 }

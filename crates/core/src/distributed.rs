@@ -60,19 +60,14 @@ use alya_comm::{
     CommReport, Communicator, ExchangeProgress, HaloMsg, NeighborExchange, RankHandle, RecordMode,
 };
 use alya_fem::VectorField;
-use alya_machine::NoRecord;
 use alya_mesh::{ExchangePlan, Partition, Shard, ShardSet, TetMesh};
 use alya_probe as probe;
 use alya_sched::{Pipeline, SchedTrace, StageStatus, Stall, Watchdog};
 use alya_telemetry as telemetry;
 
-use crate::drivers::{assemble_element, with_nut, CompactSink, CPU_VECTOR_DIM};
-use crate::gather::ScatterSink;
+use crate::drivers::{run_span, with_nut, ExecMode, ShardSpan, SpanWs};
 use crate::input::AssemblyInput;
-use crate::kernels::packed;
-use crate::layout::Layout;
 use crate::metrics;
-use crate::packs::{self, ElemPack};
 use crate::variant::Variant;
 
 /// One rank's owned output: `(global node, summed contribution)` pairs.
@@ -119,7 +114,7 @@ pub struct DistributedDriver {
     splits: Vec<ElemSplit>,
     record: RecordMode,
     overlap: bool,
-    packed: bool,
+    mode: ExecMode,
     stall_timeout: Duration,
 }
 
@@ -128,10 +123,7 @@ pub struct DistributedDriver {
 /// else to race on.
 struct RankCtx<'h> {
     local: Vec<f64>,
-    ws_buf: Vec<f64>,
-    /// Pack-sized workspace for the lane-packed path (empty when the
-    /// driver runs scalar).
-    pack_ws: Vec<f64>,
+    ws: SpanWs,
     pre_done: usize,
     rest_done: usize,
     progress: Option<ExchangeProgress<HaloMsg>>,
@@ -142,86 +134,27 @@ struct RankCtx<'h> {
     drain_scratch: Vec<u32>,
 }
 
-/// One compact per-element assembly step — the inner loop both compute
-/// stages share. Identical discipline to the sharded strategy: CompactSink,
-/// ≤4-compare corner resolution, no global→local map in the hot path.
+/// Assembles one span of shard-element positions into the compact
+/// buffer — the inner loop both compute stages share, with the sharded
+/// strategy's discipline (CompactSink, ≤4-compare corner resolution, no
+/// global→local map in the hot path).
 // alya:hot
-#[inline]
-fn assemble_one(
+fn assemble_positions(
     variant: Variant,
     input: &AssemblyInput,
+    lanes: usize,
     shard: &Shard,
-    nn: usize,
-    local: &mut [f64],
-    ws_buf: &mut [f64],
-    i: u32,
-) {
-    let i = i as usize;
-    let nl = shard.num_local_nodes();
-    let e = shard.elements()[i] as usize;
-    let mut sink = CompactSink {
-        gnodes: input.mesh.element(e),
-        lnodes: shard.local_conn()[i],
-        stride: nl,
-        buf: local,
-    };
-    let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-    assemble_element(
-        variant,
-        input,
-        e,
-        &lay,
-        ws_buf,
-        1,
-        0,
-        &mut sink,
-        &mut NoRecord,
-    );
-}
-
-/// Assembles the full packs of a span of shard-element positions through
-/// the lane-packed kernels, scattering each lane through the same compact
-/// sink discipline as [`assemble_one`] — element order and per-element
-/// scatter order are the scalar path's, so the accumulation is bitwise
-/// identical. Returns how many positions were consumed; the caller runs
-/// the remainder through [`assemble_one`].
-// alya:hot
-fn assemble_pack_span(
-    variant: Variant,
-    input: &AssemblyInput,
-    shard: &Shard,
-    nn: usize,
-    local: &mut [f64],
-    pack_ws: &mut [f64],
+    c: &mut RankCtx<'_>,
     positions: &[u32],
-) -> usize {
-    const L: usize = packs::DEFAULT_LANES;
-    let nl = shard.num_local_nodes();
-    let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-    let num_packs = positions.len() / L;
-    let mut elrhs = [[[0.0; L]; 3]; 4];
-    for q in 0..num_packs {
-        let mut elems = [0usize; L];
-        for (l, el) in elems.iter_mut().enumerate() {
-            *el = shard.elements()[positions[q * L + l] as usize] as usize;
-        }
-        let pack = ElemPack::load(input, elems);
-        packed::element_pack(variant, input, &pack, pack_ws, &mut elrhs);
-        for l in 0..L {
-            let mut sink = CompactSink {
-                gnodes: pack.conns[l],
-                lnodes: shard.local_conn()[positions[q * L + l] as usize],
-                stride: nl,
-                buf: &mut *local,
-            };
-            for a in 0..4 {
-                for d in 0..3 {
-                    sink.add(pack.conns[l][a], d, elrhs[a][d][l], &lay, &mut NoRecord);
-                }
-            }
-        }
-    }
-    num_packs * L
+) {
+    let mut span = ShardSpan {
+        mesh: input.mesh,
+        shard,
+        len: positions.len(),
+        pos: |i| positions[i] as usize,
+        buf: &mut c.local,
+    };
+    run_span(variant, input, lanes, &mut span, &mut c.ws);
 }
 
 /// One cooperative drain step: snapshot the pending peers into the reused
@@ -287,7 +220,7 @@ impl DistributedDriver {
             splits,
             record: RecordMode::Counters,
             overlap: true,
-            packed: false,
+            mode: ExecMode::Scalar,
             stall_timeout: Watchdog::default().stall_timeout,
         }
     }
@@ -320,13 +253,17 @@ impl DistributedDriver {
         self
     }
 
-    /// Routes each rank's element loop through the lane-packed kernels
+    /// Runs each rank's element loop in packs
     /// ([`crate::drivers::ExecMode::Packed`]). Chunk remainders — and
-    /// variant P, which has no packed twin — fall back to the scalar path;
-    /// element order, scatter order and therefore every assembled bit are
+    /// variant P, which never packs — run one element at a time; element
+    /// order, scatter order and therefore every assembled bit are
     /// unchanged.
     pub fn packed(mut self, on: bool) -> Self {
-        self.packed = on;
+        self.mode = if on {
+            ExecMode::Packed
+        } else {
+            ExecMode::Scalar
+        };
         self
     }
 
@@ -337,7 +274,7 @@ impl DistributedDriver {
 
     /// Whether the lane-packed execution path is enabled.
     pub fn packed_enabled(&self) -> bool {
-        self.packed
+        self.mode == ExecMode::Packed
     }
 
     /// Number of ranks.
@@ -390,12 +327,11 @@ impl DistributedDriver {
     ) -> Result<(VectorField, CommReport, Vec<SchedTrace>), Stall> {
         with_nut(variant, input, |input| {
             let nn = input.mesh.num_nodes();
-            let nval = variant.nvalues().max(1);
             let run = Communicator::run(
                 self.num_ranks(),
                 self.record,
                 |r, handle: &mut RankHandle<HaloMsg>| {
-                    self.rank_assemble(variant, input, nval, r, handle, fault)
+                    self.rank_assemble(variant, input, r, handle, fault)
                 },
             );
             // Scatter the owned outputs: node ownership is a partition of
@@ -439,7 +375,6 @@ impl DistributedDriver {
         &self,
         variant: Variant,
         input: &AssemblyInput,
-        nval: usize,
         r: u32,
         handle: &mut RankHandle<HaloMsg>,
         fault: Option<HaloFault>,
@@ -447,7 +382,6 @@ impl DistributedDriver {
         let shard = self.shards.shard(r as usize);
         let sched = self.plan.rank(r as usize);
         let split = &self.splits[r as usize];
-        let nn = input.mesh.num_nodes();
         let nl = shard.num_local_nodes();
         // Overlap on: pre = boundary elements only, rest = interior.
         // Overlap off: pre = everything (same order), rest = empty.
@@ -457,7 +391,7 @@ impl DistributedDriver {
             split.order.len()
         };
         let (pre, rest) = split.order.split_at(cut);
-        let use_packed = self.packed && packed::pack_supported(variant);
+        let lanes = self.mode.lanes(variant);
 
         let pipe_name = if self.overlap {
             "rank-overlap"
@@ -468,23 +402,7 @@ impl DistributedDriver {
 
         let s_pre = pipe.stage("assemble-pre", &[], |c, _ctx| {
             let end = (c.pre_done + ASSEMBLY_CHUNK).min(pre.len());
-            let span = &pre[c.pre_done..end];
-            let done = if use_packed {
-                assemble_pack_span(
-                    variant,
-                    input,
-                    shard,
-                    nn,
-                    &mut c.local,
-                    &mut c.pack_ws,
-                    span,
-                )
-            } else {
-                0
-            };
-            for &i in &span[done..] {
-                assemble_one(variant, input, shard, nn, &mut c.local, &mut c.ws_buf, i);
-            }
+            assemble_positions(variant, input, lanes, shard, c, &pre[c.pre_done..end]);
             c.pre_done = end;
             if end == pre.len() {
                 StageStatus::Done
@@ -522,23 +440,7 @@ impl DistributedDriver {
 
         let s_rest = pipe.stage("assemble-overlap", &[s_post], |c, _ctx| {
             let end = (c.rest_done + ASSEMBLY_CHUNK).min(rest.len());
-            let span = &rest[c.rest_done..end];
-            let done = if use_packed {
-                assemble_pack_span(
-                    variant,
-                    input,
-                    shard,
-                    nn,
-                    &mut c.local,
-                    &mut c.pack_ws,
-                    span,
-                )
-            } else {
-                0
-            };
-            for &i in &span[done..] {
-                assemble_one(variant, input, shard, nn, &mut c.local, &mut c.ws_buf, i);
-            }
+            assemble_positions(variant, input, lanes, shard, c, &rest[c.rest_done..end]);
             c.rest_done = end;
             if end == rest.len() {
                 StageStatus::Done
@@ -611,15 +513,9 @@ impl DistributedDriver {
             StageStatus::Done
         });
 
-        let pack_ws_len = if use_packed {
-            packed::pack_ws_values(variant, packs::DEFAULT_LANES).max(1)
-        } else {
-            0
-        };
         let mut ctx = RankCtx {
             local: vec![0.0; 3 * nl],
-            ws_buf: vec![0.0; nval],
-            pack_ws: vec![0.0; pack_ws_len],
+            ws: SpanWs::new(variant, lanes, 1),
             pre_done: 0,
             rest_done: 0,
             progress: None,

@@ -1,8 +1,8 @@
 //! Assembly drivers: serial, traced, and thread-parallel.
 //!
-//! The kernels compute one element; the drivers own iteration order,
-//! workspace allocation, the ν_t precompute for the baseline variants, and
-//! the scatter discipline:
+//! The kernels compute one element (or one pack of elements); the drivers
+//! own iteration order, workspace allocation, the ν_t precompute for the
+//! baseline variants, and the scatter discipline:
 //!
 //! * [`assemble_serial`] — one thread, direct read-modify-write scatter;
 //! * [`assemble_parallel`] with
@@ -20,63 +20,40 @@
 //!     contributions;
 //! * [`assemble_traced`] / [`trace_element`] — the instrumented runs the
 //!   performance models replay.
+//!
+//! Every driver — and each rank of
+//! [`DistributedDriver`](crate::DistributedDriver) — hands its element
+//! list to one span runner, which runs full packs at the [`ExecMode`]'s
+//! width and then the remainder one element at a time. The mode only
+//! chooses the width.
 
 use std::sync::Mutex;
 
 use alya_fem::VectorField;
 use alya_machine::par;
 use alya_machine::{NoRecord, Recorder, TraceRecorder};
-use alya_mesh::{Coloring, ElementGraph, NodeToElements, Partition, Shard, ShardSet};
+use alya_mesh::{Coloring, ElementGraph, NodeToElements, Partition, Shard, ShardSet, TetMesh};
 use alya_telemetry as telemetry;
 
-use crate::gather::{self, DirectSink, ScatterSink};
+use crate::gather::{DirectSink, ElemFrame, ScatterSink};
 use crate::input::AssemblyInput;
 use crate::kernels;
-use crate::kernels::packed;
+use crate::lanes::{Lane, Lanes};
 use crate::layout::Layout;
 use crate::metrics;
 use crate::nut::compute_nu_t;
-use crate::packs::{self, ElemPack};
+use crate::packs::{ElemPack, PackFrame, DEFAULT_LANES};
 use crate::variant::Variant;
-use crate::workspace::Ws;
 
 /// Elements per pack on the CPU path (the paper's optimal `VECTOR_DIM`).
 pub const CPU_VECTOR_DIM: usize = 16;
 
-/// Dispatches one element to the variant's kernel.
-///
-/// `ws_buf` must hold `variant.nvalues() × stride` floats for the
-/// workspace variants (it is ignored by RSP/RSPR); `stride`/`lane` place
-/// the element within its pack.
-#[allow(clippy::too_many_arguments)]
-// alya:hot
-pub fn assemble_element<R: Recorder, S: ScatterSink>(
-    variant: Variant,
-    input: &AssemblyInput,
-    e: usize,
-    lay: &Layout,
-    ws_buf: &mut [f64],
-    stride: usize,
-    lane: usize,
-    sink: &mut S,
-    rec: &mut R,
-) {
-    match variant {
-        Variant::B => {
-            let mut ws = Ws::global(ws_buf, stride, lane);
-            kernels::baseline::element(input, e, lay, &mut ws, sink, rec);
-        }
-        Variant::P => {
-            let mut ws = Ws::local(ws_buf);
-            kernels::baseline::element(input, e, lay, &mut ws, sink, rec);
-        }
-        Variant::Rs => {
-            let mut ws = Ws::global(ws_buf, stride, lane);
-            kernels::rs::element(input, e, lay, &mut ws, sink, rec);
-        }
-        Variant::Rsp => kernels::rsp::element(input, e, lay, sink, rec),
-        Variant::Rspr => kernels::rspr::element(input, e, lay, sink, rec),
-    }
+/// Whether `variant` runs packed under [`ExecMode::Packed`]. **P**
+/// deliberately does not: its defining trait is the per-thread *local*
+/// workspace, which has no cross-element lane dimension to pack — the
+/// drivers run it one element at a time in either mode.
+pub fn pack_supported(variant: Variant) -> bool {
+    !matches!(variant, Variant::P)
 }
 
 /// Attaches the ν_t pass output when the variant needs it, then calls `f`.
@@ -95,51 +72,21 @@ pub(crate) fn with_nut<T>(
     }
 }
 
-/// Serial assembly over the whole mesh (the reference implementation).
-pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
-    let _sp = telemetry::span(format!("assemble:serial:{}", variant.name()));
-    with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
-        let ne = input.mesh.num_elements();
-        metrics::tally_elements(variant, ne as u64);
-        let mut rhs = VectorField::zeros(nn);
-        let nval = variant.nvalues().max(1);
-        let mut ws_buf = vec![0.0; nval * CPU_VECTOR_DIM];
-        let mut sink = DirectSink { rhs: &mut rhs };
-        for e in 0..ne {
-            let lane = e % CPU_VECTOR_DIM;
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            assemble_element(
-                variant,
-                input,
-                e,
-                &lay,
-                &mut ws_buf,
-                CPU_VECTOR_DIM,
-                lane,
-                &mut sink,
-                &mut NoRecord,
-            );
-        }
-        rhs
-    })
-}
-
 /// How a driver executes the element loop.
 ///
 /// Both modes produce bitwise-identical RHS vectors under the same
-/// strategy: the packed kernels perform each lane's floating-point
-/// operations in exactly the scalar kernel's statement order and the pack
-/// scatter replays the scalar element order (pinned by the equivalence
-/// suite). `Packed` is purely a throughput lever.
+/// strategy: a pack runs the same kernel source as a single element, every
+/// lane performing its element's floating-point operations in the same
+/// order, and the pack's RHS is scattered element by element in the scalar
+/// order (pinned by the equivalence suite). `Packed` is purely a
+/// throughput lever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One element at a time — the reference path, and the only one the
     /// tracing recorders instrument.
     Scalar,
-    /// [`packs::DEFAULT_LANES`] elements in lockstep through the
-    /// lane-packed kernel twins. Remainder elements — and variant **P**,
-    /// which has no packed twin — fall back to the scalar path.
+    /// [`DEFAULT_LANES`] elements in lockstep. Remainder elements — and
+    /// variant **P** (see [`pack_supported`]) — run one at a time.
     Packed,
 }
 
@@ -151,65 +98,149 @@ impl ExecMode {
             ExecMode::Packed => "packed",
         }
     }
+
+    /// Elements per kernel call this mode runs `variant` at.
+    pub(crate) fn lanes(self, variant: Variant) -> usize {
+        if self == ExecMode::Packed && pack_supported(variant) {
+            DEFAULT_LANES
+        } else {
+            1
+        }
+    }
 }
 
-/// [`assemble_serial`] with the execution mode made explicit. Variants
-/// without a packed twin take the scalar path in either mode.
+/// A run of elements for [`run_span`]: which mesh element sits at each
+/// position, and where its RHS goes.
+pub(crate) trait Span {
+    /// Elements in the span.
+    fn len(&self) -> usize;
+
+    /// The mesh element at position `i`.
+    fn elem(&self, i: usize) -> usize;
+
+    /// The sink of position `i` (mesh element `e`).
+    fn sink(&mut self, i: usize, e: usize) -> impl ScatterSink + '_;
+}
+
+/// A span whose elements all scatter into one sink.
+struct OneSink<E, S> {
+    len: usize,
+    elem: E,
+    sink: S,
+}
+
+impl<E: Fn(usize) -> usize, S: ScatterSink> Span for OneSink<E, S> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn elem(&self, i: usize) -> usize {
+        (self.elem)(i)
+    }
+
+    fn sink(&mut self, _i: usize, _e: usize) -> impl ScatterSink + '_ {
+        &mut self.sink
+    }
+}
+
+/// One worker's kernel workspace for [`run_span`]: `variant.nvalues()`
+/// slots interleaved at `stride` for single elements, or at the pack width.
+pub(crate) struct SpanWs {
+    buf: Vec<f64>,
+    stride: usize,
+}
+
+impl SpanWs {
+    pub(crate) fn new(variant: Variant, lanes: usize, stride: usize) -> Self {
+        Self {
+            buf: vec![0.0; variant.nvalues().max(1) * stride.max(lanes)],
+            stride,
+        }
+    }
+}
+
+/// Assembles every element of `span`: full packs of `lanes` elements (when
+/// `lanes > 1`), then the remainder one element at a time. A pack's RHS is
+/// scattered lane by lane, each lane node-major — the order the width-1
+/// kernels scatter the same elements in — so the span accumulates bitwise
+/// identically at either width.
+// alya:hot
+pub(crate) fn run_span<S: Span>(
+    variant: Variant,
+    input: &AssemblyInput,
+    lanes: usize,
+    span: &mut S,
+    ws: &mut SpanWs,
+) {
+    const L: usize = DEFAULT_LANES;
+    let nn = input.mesh.num_nodes();
+    let n = span.len();
+    let packed = if lanes == L { n - n % L } else { 0 };
+    let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
+    for p in (0..packed).step_by(L) {
+        let elems: [usize; L] = std::array::from_fn(|l| span.elem(p + l));
+        let pack = ElemPack::load(input, elems);
+        let mut frame = PackFrame {
+            pack: &pack,
+            lay,
+            rhs: [[Lanes::splat(0.0); 3]; 4],
+        };
+        kernels::run(variant, input, &mut frame, &mut ws.buf, L, 0, &mut NoRecord);
+        for (l, &e) in elems.iter().enumerate() {
+            let mut sink = span.sink(p + l, e);
+            for a in 0..4 {
+                for d in 0..3 {
+                    let v = frame.rhs[a][d].0[l];
+                    sink.add(pack.conns[l][a], d, v, &lay, &mut NoRecord);
+                }
+            }
+        }
+    }
+    for i in packed..n {
+        let e = span.elem(i);
+        let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
+        let mut frame = ElemFrame::load(input, e, &lay, span.sink(i, e), &mut NoRecord);
+        let lane = e % ws.stride;
+        kernels::run(
+            variant,
+            input,
+            &mut frame,
+            &mut ws.buf,
+            ws.stride,
+            lane,
+            &mut NoRecord,
+        );
+    }
+}
+
+/// Serial assembly over the whole mesh (the reference implementation).
+pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
+    assemble_serial_with(variant, input, ExecMode::Scalar)
+}
+
+/// [`assemble_serial`] with the execution mode made explicit. Elements are
+/// tallied once per call — never per lane — so telemetry is invariant
+/// across modes.
 pub fn assemble_serial_with(
     variant: Variant,
     input: &AssemblyInput,
     mode: ExecMode,
 ) -> VectorField {
-    if mode == ExecMode::Packed && packed::pack_supported(variant) {
-        assemble_serial_packed(variant, input)
-    } else {
-        assemble_serial(variant, input)
-    }
-}
-
-/// Serial assembly through the lane-packed kernels: full packs of
-/// [`packs::DEFAULT_LANES`] consecutive elements, then a scalar loop over
-/// the remainder. Elements are tallied once per call — pack granularity,
-/// never per lane — so telemetry is invariant across modes.
-fn assemble_serial_packed(variant: Variant, input: &AssemblyInput) -> VectorField {
-    const L: usize = packs::DEFAULT_LANES;
-    let _sp = telemetry::span(format!("assemble:serial-packed:{}", variant.name()));
+    let lanes = mode.lanes(variant);
+    let packed = if lanes > 1 { "-packed" } else { "" };
+    let _sp = telemetry::span(format!("assemble:serial{packed}:{}", variant.name()));
     with_nut(variant, input, |input| {
         let nn = input.mesh.num_nodes();
         let ne = input.mesh.num_elements();
         metrics::tally_elements(variant, ne as u64);
         let mut rhs = VectorField::zeros(nn);
-        let mut ws_buf = vec![0.0; packed::pack_ws_values(variant, L).max(1)];
-        let mut sink = DirectSink { rhs: &mut rhs };
-        let num_packs = ne / L;
-        let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-        let mut elrhs = [[[0.0; L]; 3]; 4];
-        for p in 0..num_packs {
-            let mut elems = [0usize; L];
-            for (l, el) in elems.iter_mut().enumerate() {
-                *el = p * L + l;
-            }
-            let pack = ElemPack::load(input, elems);
-            packed::element_pack(variant, input, &pack, &mut ws_buf, &mut elrhs);
-            gather::scatter_pack(&mut sink, &pack.conns, &elrhs, &lay, &mut NoRecord);
-        }
-        // Remainder: the scalar reference path, same scatter discipline.
-        let nval = variant.nvalues().max(1);
-        let mut sbuf = vec![0.0; nval];
-        for e in num_packs * L..ne {
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            assemble_element(
-                variant,
-                input,
-                e,
-                &lay,
-                &mut sbuf,
-                1,
-                0,
-                &mut sink,
-                &mut NoRecord,
-            );
-        }
+        let mut span = OneSink {
+            len: ne,
+            elem: |e| e,
+            sink: DirectSink { rhs: &mut rhs },
+        };
+        let mut ws = SpanWs::new(variant, lanes, CPU_VECTOR_DIM);
+        run_span(variant, input, lanes, &mut span, &mut ws);
         rhs
     })
 }
@@ -223,53 +254,33 @@ pub fn trace_element(
     e: usize,
     lay: &Layout,
 ) -> TraceRecorder {
-    with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
-        let mut rec = TraceRecorder::new();
-        let nval = variant.nvalues().max(1);
-        let mut ws_buf = vec![0.0; nval];
-        let mut rhs = VectorField::zeros(nn);
-        let mut sink = DirectSink { rhs: &mut rhs };
-        assemble_element(
-            variant,
-            input,
-            e,
-            lay,
-            &mut ws_buf,
-            1,
-            0,
-            &mut sink,
-            &mut rec,
-        );
-        rec
-    })
+    trace(variant, input, &[(e, *lay)])
 }
 
 /// Traces a whole CPU pack (`CPU_VECTOR_DIM` consecutive elements) — the
 /// unit the CPU model replays.
 pub fn trace_pack(variant: Variant, input: &AssemblyInput, pack: usize) -> TraceRecorder {
-    with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
-        let ne = input.mesh.num_elements();
-        let mut rec = TraceRecorder::new();
-        let nval = variant.nvalues().max(1);
-        let mut ws_buf = vec![0.0; nval * CPU_VECTOR_DIM];
-        let mut rhs = VectorField::zeros(nn);
-        let mut sink = DirectSink { rhs: &mut rhs };
-        for lane in 0..CPU_VECTOR_DIM {
+    let (ne, nn) = (input.mesh.num_elements(), input.mesh.num_nodes());
+    let elems: Vec<(usize, Layout)> = (0..CPU_VECTOR_DIM)
+        .map(|lane| {
             let e = (pack * CPU_VECTOR_DIM + lane) % ne;
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            assemble_element(
-                variant,
-                input,
-                e,
-                &lay,
-                &mut ws_buf,
-                CPU_VECTOR_DIM,
-                lane,
-                &mut sink,
-                &mut rec,
-            );
+            (e, Layout::cpu(e, CPU_VECTOR_DIM, nn))
+        })
+        .collect();
+    trace(variant, input, &elems)
+}
+
+/// One recorder's event stream over `elems`, each traced at its layout
+/// (the addresses come from the layout, so a compact scratch suffices).
+fn trace(variant: Variant, input: &AssemblyInput, elems: &[(usize, Layout)]) -> TraceRecorder {
+    with_nut(variant, input, |input| {
+        let mut rec = TraceRecorder::new();
+        let mut ws_buf = vec![0.0; variant.nvalues().max(1)];
+        let mut rhs = VectorField::zeros(input.mesh.num_nodes());
+        for (e, lay) in elems {
+            let sink = DirectSink { rhs: &mut rhs };
+            let mut frame = ElemFrame::load(input, *e, lay, sink, &mut rec);
+            kernels::run(variant, input, &mut frame, &mut ws_buf, 1, 0, &mut rec);
         }
         rec
     })
@@ -457,19 +468,19 @@ fn num_field(obj: &str, key: &str) -> Option<f64> {
 
 impl ParallelStrategy {
     /// Builds a coloring strategy for the mesh.
-    pub fn colored(mesh: &alya_mesh::TetMesh) -> Self {
+    pub fn colored(mesh: &TetMesh) -> Self {
         let n2e = NodeToElements::build(mesh);
         let graph = ElementGraph::build(mesh, &n2e);
         ParallelStrategy::Colored(Coloring::greedy(&graph))
     }
 
     /// Builds a partitioned strategy with `parts` workers.
-    pub fn partitioned(mesh: &alya_mesh::TetMesh, parts: usize) -> Self {
+    pub fn partitioned(mesh: &TetMesh, parts: usize) -> Self {
         ParallelStrategy::Partitioned(PartitionedState::new(Partition::rcb(mesh, parts)))
     }
 
     /// Builds a sharded strategy with `shards` compact-numbered shards.
-    pub fn sharded(mesh: &alya_mesh::TetMesh, shards: usize) -> Self {
+    pub fn sharded(mesh: &TetMesh, shards: usize) -> Self {
         let partition = Partition::rcb(mesh, shards);
         ParallelStrategy::Sharded(ShardSet::build(mesh, &partition))
     }
@@ -481,14 +492,14 @@ impl ParallelStrategy {
     /// compact buffers and boundary-only reduction win), unless the bench
     /// baseline measured colored faster at this thread count; colored
     /// otherwise.
-    pub fn auto(mesh: &alya_mesh::TetMesh) -> Self {
+    pub fn auto(mesh: &TetMesh) -> Self {
         Self::auto_with(mesh, par::num_threads(), ThroughputDb::load_default())
     }
 
     /// [`Self::auto`] with the worker count and throughput data made
     /// explicit (what the unit tests drive; `auto` supplies the live
     /// values).
-    pub fn auto_with(mesh: &alya_mesh::TetMesh, workers: usize, db: Option<&ThroughputDb>) -> Self {
+    pub fn auto_with(mesh: &TetMesh, workers: usize, db: Option<&ThroughputDb>) -> Self {
         if workers > 1 && mesh.num_elements() >= workers * SHARD_AUTO_MIN_ELEMS_PER_WORKER {
             // Measured data can overturn the heuristic's sharded default,
             // but only when it covers both candidates.
@@ -565,6 +576,7 @@ impl PartitionedState {
 
 /// A sink that buffers one element's contributions locally (keyed by the
 /// element's own node list).
+#[derive(Clone, Copy, Default)]
 struct BufferSink {
     nodes: [u32; 4],
     acc: [[f64; 3]; 4],
@@ -584,6 +596,46 @@ impl ScatterSink for BufferSink {
             // impossible; the branch is never taken on valid kernels.
             .expect("scatter to a node outside the element");
         self.acc[a][d] += v;
+    }
+}
+
+/// [`ParallelStrategy::TwoPhase`]'s span: elements `start..` of the mesh,
+/// each buffered in its own [`BufferSink`] for the later scatter loop.
+struct TwoPhaseSpan<'a> {
+    start: usize,
+    mesh: &'a TetMesh,
+    out: &'a mut [BufferSink],
+}
+
+impl Span for TwoPhaseSpan<'_> {
+    fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    fn elem(&self, i: usize) -> usize {
+        self.start + i
+    }
+
+    fn sink(&mut self, i: usize, e: usize) -> impl ScatterSink + '_ {
+        let b = &mut self.out[i];
+        b.nodes = self.mesh.element(e);
+        b
+    }
+}
+
+/// A sink over a full-width component-blocked buffer (`buf[d·nn + n]`) —
+/// one partition worker's private RHS.
+struct BlockedSink<'a> {
+    buf: &'a mut [f64],
+    nn: usize,
+}
+
+// alya:hot
+impl ScatterSink for BlockedSink<'_> {
+    #[inline]
+    fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, _lay: &Layout, rec: &mut R) {
+        rec.flop(1);
+        self.buf[d * self.nn + n as usize] += v;
     }
 }
 
@@ -647,15 +699,15 @@ impl ScatterSink for ColoredSink<'_> {
 /// discipline as [`BufferSink`]) and redirects the store through the
 /// precomputed local connectivity — the inner loop never touches a
 /// global→local map.
-pub(crate) struct CompactSink<'a> {
+struct CompactSink<'a> {
     /// The element's corners in global numbering.
-    pub(crate) gnodes: [u32; 4],
+    gnodes: [u32; 4],
     /// The same corners in the shard's compact numbering.
-    pub(crate) lnodes: [u32; 4],
+    lnodes: [u32; 4],
     /// Nodes in the shard (component stride of `buf`).
-    pub(crate) stride: usize,
+    stride: usize,
     /// The shard's `3 × stride` accumulation buffer.
-    pub(crate) buf: &'a mut [f64],
+    buf: &'a mut [f64],
 }
 
 // alya:hot
@@ -672,6 +724,35 @@ impl ScatterSink for CompactSink<'_> {
             // four corners, so the miss branch is dead on valid kernels.
             .expect("scatter to a node outside the element");
         self.buf[d * self.stride + self.lnodes[a] as usize] += v;
+    }
+}
+
+/// A shard's elements at positions `pos(0..len)` of [`Shard::elements`],
+/// scattering into the shard's compact buffer through [`CompactSink`].
+pub(crate) struct ShardSpan<'a, P> {
+    pub(crate) mesh: &'a TetMesh,
+    pub(crate) shard: &'a Shard,
+    pub(crate) len: usize,
+    pub(crate) pos: P,
+    pub(crate) buf: &'a mut [f64],
+}
+
+impl<P: Fn(usize) -> usize> Span for ShardSpan<'_, P> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn elem(&self, i: usize) -> usize {
+        self.shard.elements()[(self.pos)(i)] as usize
+    }
+
+    fn sink(&mut self, i: usize, e: usize) -> impl ScatterSink + '_ {
+        CompactSink {
+            gnodes: self.mesh.element(e),
+            lnodes: self.shard.local_conn()[(self.pos)(i)],
+            stride: self.shard.num_local_nodes(),
+            buf: self.buf,
+        }
     }
 }
 
@@ -707,7 +788,7 @@ fn merge_boundary(a: BoundaryVec, b: BoundaryVec) -> BoundaryVec {
 
 /// Interior writeback (unsynchronized plain stores to this shard's
 /// exclusive nodes) plus sparse sorted boundary extraction of one assembled
-/// shard — the finish step shared by the scalar and packed sharded paths.
+/// shard.
 /// Interior nodes are exclusive to the shard (validated by the caller) and
 /// the RHS started zeroed, so the store is exact and race-free; boundary
 /// nodes go through the tree reduction as a sorted list (`global_nodes`'
@@ -746,40 +827,46 @@ pub fn assemble_parallel(
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
 ) -> VectorField {
-    let _sp = telemetry::span(format!("assemble:{}:{}", strategy.name(), variant.name()));
+    assemble_parallel_with(variant, input, strategy, ExecMode::Scalar)
+}
+
+/// [`assemble_parallel`] with the execution mode made explicit. Each
+/// worker's element list runs through the span runner at the mode's width;
+/// the scatter disciplines and their accumulation orders do not depend on
+/// it, so every strategy is bitwise equal across modes.
+pub fn assemble_parallel_with(
+    variant: Variant,
+    input: &AssemblyInput,
+    strategy: &ParallelStrategy,
+    mode: ExecMode,
+) -> VectorField {
+    let lanes = mode.lanes(variant);
+    let packed = if lanes > 1 { "-packed" } else { "" };
+    let _sp = telemetry::span(format!(
+        "assemble:{}{packed}:{}",
+        strategy.name(),
+        variant.name()
+    ));
     with_nut(variant, input, |input| {
         let nn = input.mesh.num_nodes();
         let ne = input.mesh.num_elements();
         metrics::tally_elements(variant, ne as u64);
-        let nval = variant.nvalues().max(1);
-
-        // Workspace buffers are reused per worker thread (the *_init
-        // helpers), never allocated per element.
-        let compute_one = |ws_buf: &mut Vec<f64>, e: usize| -> BufferSink {
-            let mut sink = BufferSink {
-                nodes: input.mesh.element(e),
-                acc: [[0.0; 3]; 4],
-            };
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            assemble_element(
-                variant,
-                input,
-                e,
-                &lay,
-                ws_buf,
-                1,
-                0,
-                &mut sink,
-                &mut NoRecord,
-            );
-            sink
-        };
+        // Workspace buffers are reused per worker thread, never allocated
+        // per element.
+        let new_ws = || SpanWs::new(variant, lanes, 1);
 
         match strategy {
             ParallelStrategy::TwoPhase => {
                 // Phase 1: vectorizable elemental loop, fully parallel.
-                let buffers: Vec<BufferSink> =
-                    par::par_map_init(ne, || vec![0.0; nval], |ws, e| compute_one(ws, e));
+                let mut buffers = vec![BufferSink::default(); ne];
+                par::par_chunks_mut(&mut buffers, |start, out| {
+                    let mut span = TwoPhaseSpan {
+                        start,
+                        mesh: input.mesh,
+                        out,
+                    };
+                    run_span(variant, input, lanes, &mut span, &mut new_ws());
+                });
                 // Phase 2: the scalar scatter loop.
                 let mut rhs = VectorField::zeros(nn);
                 for b in &buffers {
@@ -807,48 +894,39 @@ pub fn assemble_parallel(
                     num_nodes: nn,
                 };
                 for class in coloring.classes() {
-                    par::par_for_each_init(
-                        class,
-                        || vec![0.0; nval],
-                        |ws_buf, &e| {
-                            let mut sink = ColoredSink { shared: &shared };
-                            let lay = Layout::cpu(e as usize, CPU_VECTOR_DIM, nn);
-                            assemble_element(
-                                variant,
-                                input,
-                                e as usize,
-                                &lay,
-                                ws_buf,
-                                1,
-                                0,
-                                &mut sink,
-                                &mut NoRecord,
-                            );
-                        },
-                    );
+                    // The lanes of a pack belong to one color class, so
+                    // their scatters are node-disjoint like any two
+                    // elements of the class.
+                    par::par_for_each_init(class, new_ws, |ws, batch| {
+                        let mut span = OneSink {
+                            len: batch.len(),
+                            elem: |i| batch[i] as usize,
+                            sink: ColoredSink { shared: &shared },
+                        };
+                        run_span(variant, input, lanes, &mut span, ws);
+                    });
                 }
                 rhs
             }
             ParallelStrategy::Partitioned(state) => {
                 let partition = &state.partition;
-                let partials: Vec<Vec<f64>> = par::par_map_init(
-                    partition.num_parts(),
-                    || vec![0.0; nval],
-                    |ws_buf, p| {
+                let partials: Vec<Vec<f64>> =
+                    par::par_map_init(partition.num_parts(), new_ws, |ws, p| {
                         // Full-width per-worker buffer from the reuse pool
                         // (allocated on the first call only).
                         let mut local = state.checkout(3 * nn);
-                        for &e in partition.part(p) {
-                            let b = compute_one(ws_buf, e as usize);
-                            for a in 0..4 {
-                                for d in 0..3 {
-                                    local[d * nn + b.nodes[a] as usize] += b.acc[a][d];
-                                }
-                            }
-                        }
+                        let part = partition.part(p);
+                        let mut span = OneSink {
+                            len: part.len(),
+                            elem: |i| part[i] as usize,
+                            sink: BlockedSink {
+                                buf: &mut local,
+                                nn,
+                            },
+                        };
+                        run_span(variant, input, lanes, &mut span, ws);
                         local
-                    },
-                );
+                    });
                 let mut rhs = VectorField::zeros(nn);
                 let out = rhs.as_mut_slice();
                 for part in &partials {
@@ -874,333 +952,22 @@ pub fn assemble_parallel(
                     num_nodes: nn,
                 };
                 let shared = &shared;
-                let boundaries: Vec<BoundaryVec> = par::par_map_init(
-                    shards.num_shards(),
-                    || vec![0.0; nval],
-                    |ws_buf, s| {
+                let boundaries: Vec<BoundaryVec> =
+                    par::par_map_init(shards.num_shards(), new_ws, |ws, s| {
                         let _shard_sp = telemetry::span(format!("shard:{s}"));
                         let shard = shards.shard(s);
-                        let nl = shard.num_local_nodes();
                         // Compact accumulation: O(nodes-in-shard), not O(nn).
-                        let mut local = vec![0.0; 3 * nl];
-                        for (i, &e) in shard.elements().iter().enumerate() {
-                            let e = e as usize;
-                            let mut sink = CompactSink {
-                                gnodes: input.mesh.element(e),
-                                lnodes: shard.local_conn()[i],
-                                stride: nl,
-                                buf: &mut local,
-                            };
-                            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-                            assemble_element(
-                                variant,
-                                input,
-                                e,
-                                &lay,
-                                ws_buf,
-                                1,
-                                0,
-                                &mut sink,
-                                &mut NoRecord,
-                            );
-                        }
+                        let mut local = vec![0.0; 3 * shard.num_local_nodes()];
+                        let mut span = ShardSpan {
+                            mesh: input.mesh,
+                            shard,
+                            len: shard.elements().len(),
+                            pos: |i| i,
+                            buf: &mut local,
+                        };
+                        run_span(variant, input, lanes, &mut span, ws);
                         shard_finish(shard, &local, shared, nn)
-                    },
-                );
-                if let Some(merged) = par::tree_reduce(boundaries, merge_boundary) {
-                    for (g, v) in merged {
-                        rhs.add(g as usize, v);
-                    }
-                }
-                rhs
-            }
-        }
-    })
-}
-
-/// [`assemble_parallel`] with the execution mode made explicit. Variants
-/// without a packed twin take the scalar path in either mode.
-pub fn assemble_parallel_with(
-    variant: Variant,
-    input: &AssemblyInput,
-    strategy: &ParallelStrategy,
-    mode: ExecMode,
-) -> VectorField {
-    if mode == ExecMode::Packed && packed::pack_supported(variant) {
-        assemble_parallel_packed(variant, input, strategy)
-    } else {
-        assemble_parallel(variant, input, strategy)
-    }
-}
-
-/// Parallel assembly through the lane-packed kernels: each worker's element
-/// list is consumed in full packs of [`packs::DEFAULT_LANES`], with the
-/// per-strategy remainders (and variant P) taking the scalar path. The
-/// scatter disciplines and their accumulation orders are identical to the
-/// scalar driver's, so every strategy stays bitwise equal across modes.
-fn assemble_parallel_packed(
-    variant: Variant,
-    input: &AssemblyInput,
-    strategy: &ParallelStrategy,
-) -> VectorField {
-    const L: usize = packs::DEFAULT_LANES;
-    let _sp = telemetry::span(format!(
-        "assemble:{}-packed:{}",
-        strategy.name(),
-        variant.name()
-    ));
-    with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
-        let ne = input.mesh.num_elements();
-        // Elements tallied once per call — pack granularity, never per
-        // lane — keeping the Table-I profile invariant across modes.
-        metrics::tally_elements(variant, ne as u64);
-        let nval = variant.nvalues().max(1);
-        let ws_len = packed::pack_ws_values(variant, L).max(1);
-
-        // Packs one slice of element ids starting at `at` (caller
-        // guarantees `at + L` in bounds) and returns its completed RHS.
-        let run_pack = |ws_buf: &mut [f64], ids: &dyn Fn(usize) -> usize, at: usize| {
-            let mut elems = [0usize; L];
-            for (l, el) in elems.iter_mut().enumerate() {
-                *el = ids(at + l);
-            }
-            let pack = ElemPack::load(input, elems);
-            let mut elrhs = [[[0.0; L]; 3]; 4];
-            packed::element_pack(variant, input, &pack, ws_buf, &mut elrhs);
-            (pack, elrhs)
-        };
-
-        let compute_one = |ws_buf: &mut Vec<f64>, e: usize| -> BufferSink {
-            let mut sink = BufferSink {
-                nodes: input.mesh.element(e),
-                acc: [[0.0; 3]; 4],
-            };
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            assemble_element(
-                variant,
-                input,
-                e,
-                &lay,
-                ws_buf,
-                1,
-                0,
-                &mut sink,
-                &mut NoRecord,
-            );
-            sink
-        };
-
-        match strategy {
-            ParallelStrategy::TwoPhase => {
-                let num_packs = ne / L;
-                // Phase 1: packed elemental loop, parallel at pack
-                // granularity; remainder elements scalar, still parallel.
-                let full: Vec<([[u32; 4]; L], packed::PackRhs<L>)> = par::par_map_init(
-                    num_packs,
-                    || vec![0.0; ws_len],
-                    |ws_buf, p| {
-                        let (pack, elrhs) = run_pack(ws_buf, &|i| i, p * L);
-                        (pack.conns, elrhs)
-                    },
-                );
-                let rest: Vec<BufferSink> = par::par_map_init(
-                    ne - num_packs * L,
-                    || vec![0.0; nval],
-                    |ws_buf, i| compute_one(ws_buf, num_packs * L + i),
-                );
-                // Phase 2: the scalar scatter loop, element-ascending like
-                // the scalar driver.
-                let mut rhs = VectorField::zeros(nn);
-                for (conns, elrhs) in &full {
-                    for l in 0..L {
-                        for a in 0..4 {
-                            rhs.add(
-                                conns[l][a] as usize,
-                                [elrhs[a][0][l], elrhs[a][1][l], elrhs[a][2][l]],
-                            );
-                        }
-                    }
-                }
-                for b in &rest {
-                    for a in 0..4 {
-                        rhs.add(b.nodes[a] as usize, b.acc[a]);
-                    }
-                }
-                rhs
-            }
-            ParallelStrategy::Colored(coloring) => {
-                debug_assert!(
-                    coloring.is_race_free(input.mesh),
-                    "colored scatter invariant violated: {}",
-                    coloring
-                        .find_conflict(input.mesh)
-                        .map(|c| c.to_string())
-                        .unwrap_or_default()
-                );
-                let mut rhs = VectorField::zeros(nn);
-                let shared = SharedRhs {
-                    ptr: rhs.as_mut_slice().as_mut_ptr(),
-                    num_nodes: nn,
-                };
-                let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-                for class in coloring.classes() {
-                    // Lanes of one pack belong to one color class, so their
-                    // scatters are node-disjoint by the coloring invariant —
-                    // the same guarantee the scalar path's threads rely on.
-                    let num_packs = class.len() / L;
-                    let _: Vec<()> = par::par_map_init(
-                        num_packs,
-                        || vec![0.0; ws_len],
-                        |ws_buf, p| {
-                            let (pack, elrhs) = run_pack(ws_buf, &|i| class[i] as usize, p * L);
-                            let mut sink = ColoredSink { shared: &shared };
-                            gather::scatter_pack(
-                                &mut sink,
-                                &pack.conns,
-                                &elrhs,
-                                &lay,
-                                &mut NoRecord,
-                            );
-                        },
-                    );
-                    // Class remainder: scalar path.
-                    par::par_for_each_init(
-                        &class[num_packs * L..],
-                        || vec![0.0; nval],
-                        |ws_buf, &e| {
-                            let mut sink = ColoredSink { shared: &shared };
-                            let lay = Layout::cpu(e as usize, CPU_VECTOR_DIM, nn);
-                            assemble_element(
-                                variant,
-                                input,
-                                e as usize,
-                                &lay,
-                                ws_buf,
-                                1,
-                                0,
-                                &mut sink,
-                                &mut NoRecord,
-                            );
-                        },
-                    );
-                }
-                rhs
-            }
-            ParallelStrategy::Partitioned(state) => {
-                let partition = &state.partition;
-                let partials: Vec<Vec<f64>> = par::par_map_init(
-                    partition.num_parts(),
-                    || (vec![0.0; ws_len], vec![0.0; nval]),
-                    |bufs, p| {
-                        let (pack_ws, scalar_ws) = bufs;
-                        let mut local = state.checkout(3 * nn);
-                        let part = partition.part(p);
-                        let num_packs = part.len() / L;
-                        for q in 0..num_packs {
-                            let (pack, elrhs) = run_pack(pack_ws, &|i| part[i] as usize, q * L);
-                            for l in 0..L {
-                                for a in 0..4 {
-                                    for d in 0..3 {
-                                        local[d * nn + pack.conns[l][a] as usize] += elrhs[a][d][l];
-                                    }
-                                }
-                            }
-                        }
-                        for &e in &part[num_packs * L..] {
-                            let b = compute_one(scalar_ws, e as usize);
-                            for a in 0..4 {
-                                for d in 0..3 {
-                                    local[d * nn + b.nodes[a] as usize] += b.acc[a][d];
-                                }
-                            }
-                        }
-                        local
-                    },
-                );
-                let mut rhs = VectorField::zeros(nn);
-                let out = rhs.as_mut_slice();
-                for part in &partials {
-                    for (o, v) in out.iter_mut().zip(part) {
-                        *o += v;
-                    }
-                }
-                state.restore(partials);
-                rhs
-            }
-            ParallelStrategy::Sharded(shards) => {
-                debug_assert!(
-                    shards.validate(input.mesh).is_ok(),
-                    "sharded scatter invariant violated: {}",
-                    shards.validate(input.mesh).err().unwrap_or_default()
-                );
-                let mut rhs = VectorField::zeros(nn);
-                let shared = SharedRhs {
-                    ptr: rhs.as_mut_slice().as_mut_ptr(),
-                    num_nodes: nn,
-                };
-                let shared = &shared;
-                let boundaries: Vec<BoundaryVec> = par::par_map_init(
-                    shards.num_shards(),
-                    || (vec![0.0; ws_len], vec![0.0; nval]),
-                    |bufs, s| {
-                        let _shard_sp = telemetry::span(format!("shard:{s}"));
-                        let (pack_ws, scalar_ws) = bufs;
-                        let shard = shards.shard(s);
-                        let nl = shard.num_local_nodes();
-                        let mut local = vec![0.0; 3 * nl];
-                        let selems = shard.elements();
-                        let num_packs = selems.len() / L;
-                        let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-                        for q in 0..num_packs {
-                            let (pack, elrhs) = run_pack(pack_ws, &|i| selems[i] as usize, q * L);
-                            // Per-lane compact scatter: the local
-                            // connectivity rows are parallel to `selems`.
-                            for l in 0..L {
-                                let mut sink = CompactSink {
-                                    gnodes: pack.conns[l],
-                                    lnodes: shard.local_conn()[q * L + l],
-                                    stride: nl,
-                                    buf: &mut local,
-                                };
-                                for a in 0..4 {
-                                    for d in 0..3 {
-                                        sink.add(
-                                            pack.conns[l][a],
-                                            d,
-                                            elrhs[a][d][l],
-                                            &lay,
-                                            &mut NoRecord,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        // Shard remainder: scalar path, same compact sink.
-                        for (i, &e) in selems.iter().enumerate().skip(num_packs * L) {
-                            let e = e as usize;
-                            let mut sink = CompactSink {
-                                gnodes: input.mesh.element(e),
-                                lnodes: shard.local_conn()[i],
-                                stride: nl,
-                                buf: &mut local,
-                            };
-                            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-                            assemble_element(
-                                variant,
-                                input,
-                                e,
-                                &lay,
-                                scalar_ws,
-                                1,
-                                0,
-                                &mut sink,
-                                &mut NoRecord,
-                            );
-                        }
-                        shard_finish(shard, &local, shared, nn)
-                    },
-                );
+                    });
                 if let Some(merged) = par::tree_reduce(boundaries, merge_boundary) {
                     for (g, v) in merged {
                         rhs.add(g as usize, v);
@@ -1266,7 +1033,7 @@ mod tests {
             })
             .body_force([0.1, 0.0, -0.5]);
         // Non-multiple-of-LANES element count exercises the remainder path.
-        assert_ne!(mesh.num_elements() % packs::DEFAULT_LANES, 0);
+        assert_ne!(mesh.num_elements() % DEFAULT_LANES, 0);
         for variant in Variant::ALL {
             let scalar = assemble_serial(variant, &input);
             let lane = assemble_serial_with(variant, &input, ExecMode::Packed);

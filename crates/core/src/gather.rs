@@ -3,11 +3,17 @@
 //! The scattered, indirect nodal accesses are the irreducible memory
 //! traffic of FEM assembly — after all optimizations they are what remains
 //! (the paper's RSP/RSPR DRAM volume is almost exactly this gather/scatter).
+//!
+//! The kernels reach the mesh only through a [`Frame`]: [`ElemFrame`] is
+//! the width-1 frame (traced gathers, scatter into a [`ScatterSink`] from
+//! inside the kernel), [`PackFrame`](crate::packs::PackFrame) the width-`L`
+//! one.
 
 use alya_fem::{ScalarField, VectorField};
 use alya_machine::Recorder;
 
 use crate::input::AssemblyInput;
+use crate::lanes::Lane;
 use crate::layout::{self, Layout};
 
 /// Loads the four node ids of element `e`.
@@ -122,6 +128,14 @@ impl ScatterSink for DirectSink<'_> {
     }
 }
 
+// alya:hot
+impl<S: ScatterSink + ?Sized> ScatterSink for &mut S {
+    #[inline]
+    fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, layout: &Layout, rec: &mut R) {
+        (**self).add(n, d, v, layout, rec);
+    }
+}
+
 /// RHS slots one element's scatter touches: 4 nodes × 3 components. The
 /// read-modify-write scatter performs exactly this many global loads and
 /// this many global stores, for every variant.
@@ -129,118 +143,107 @@ pub const fn rhs_slots_per_element() -> u64 {
     4 * 3
 }
 
-/// Scatters a full elemental RHS (4 nodes × 3 components).
-// alya:hot
-#[inline]
-pub fn scatter_elemental<R: Recorder, S: ScatterSink>(
-    sink: &mut S,
-    nodes: &[u32; 4],
-    elrhs: &[[f64; 3]; 4],
-    layout: &Layout,
-    rec: &mut R,
-) {
-    for (a, &n) in nodes.iter().enumerate() {
-        for d in 0..3 {
-            sink.add(n, d, elrhs[a][d], layout, rec);
-        }
-    }
-}
+/// One kernel execution's view of the mesh at one lane width: the nodal
+/// gathers it reads and where its elemental RHS goes.
+pub trait Frame<V: Lane> {
+    /// Modelled addressing of this execution's workspace traffic.
+    fn layout(&self) -> Layout;
 
-// ---- Pack-granularity gathers (the AoSoA execution path) -------------------
-//
-// The packed kernels gather whole lanes at once: `out[a][d][lane]` — the
-// node-major, component-middle, lane-minor layout every packed intermediate
-// uses. Untracked: the packed path is pure execution (the models replay the
-// scalar kernels), so there is no recorder parameter to thread.
+    /// The four node coordinates (12 loads per element).
+    fn coords<R: Recorder>(&self, input: &AssemblyInput, rec: &mut R) -> [[V; 3]; 4];
 
-/// Loads the node ids of `L` elements (pack connectivity gather).
-// alya:hot
-#[inline]
-pub fn gather_conn_pack<const L: usize>(
-    input: &AssemblyInput,
-    elems: &[usize; L],
-) -> [[u32; 4]; L] {
-    let mut out = [[0u32; 4]; L];
-    for l in 0..L {
-        out[l] = input.mesh.element(elems[l]);
-    }
-    out
-}
+    /// The four nodal velocities (12 loads per element).
+    fn velocity<R: Recorder>(&self, input: &AssemblyInput, rec: &mut R) -> [[V; 3]; 4];
 
-/// Gathers node coordinates for a pack: `out[a][d][lane]`.
-// alya:hot
-#[inline]
-pub fn gather_coords_pack<const L: usize>(
-    input: &AssemblyInput,
-    conns: &[[u32; 4]; L],
-) -> [[[f64; L]; 3]; 4] {
-    let coords = input.mesh.coords();
-    let mut out = [[[0.0; L]; 3]; 4];
-    for a in 0..4 {
-        for l in 0..L {
-            let c = coords[conns[l][a] as usize];
-            for d in 0..3 {
-                out[a][d][l] = c[d];
-            }
-        }
-    }
-    out
-}
+    /// A nodal scalar field rooted at `base` (4 loads per element).
+    fn nodal_scalar<R: Recorder>(&self, field: &ScalarField, base: u64, rec: &mut R) -> [V; 4];
 
-/// Gathers nodal velocities for a pack: `out[a][d][lane]`.
-// alya:hot
-#[inline]
-pub fn gather_velocity_pack<const L: usize>(
-    input: &AssemblyInput,
-    conns: &[[u32; 4]; L],
-) -> [[[f64; L]; 3]; 4] {
-    let mut out = [[[0.0; L]; 3]; 4];
-    for a in 0..4 {
-        for l in 0..L {
-            let v = input.velocity.get(conns[l][a] as usize);
-            for d in 0..3 {
-                out[a][d][l] = v[d];
-            }
-        }
-    }
-    out
-}
+    /// The per-element ν_t of the precompute pass (1 load per element);
+    /// zero when the input carries none.
+    fn nu_t<R: Recorder>(&self, input: &AssemblyInput, rec: &mut R) -> V;
 
-/// Gathers a nodal scalar field for a pack: `out[a][lane]`.
-// alya:hot
-#[inline]
-pub fn gather_scalar_pack<const L: usize>(
-    field: &ScalarField,
-    conns: &[[u32; 4]; L],
-) -> [[f64; L]; 4] {
-    let mut out = [[0.0; L]; 4];
-    for a in 0..4 {
-        for l in 0..L {
-            out[a][l] = field.get(conns[l][a] as usize);
-        }
-    }
-    out
-}
+    /// Hands off component `d` of node `a`'s RHS contribution.
+    fn scatter<R: Recorder>(&mut self, a: usize, d: usize, v: V, rec: &mut R);
 
-/// Scatters a completed pack RHS, lane by lane in ascending order, each
-/// lane node-major / component-minor — exactly the order the scalar loop
-/// scatters those elements in, so a packed assembly accumulates the global
-/// RHS bitwise identically to its scalar twin.
-// alya:hot
-#[inline]
-pub fn scatter_pack<const L: usize, R: Recorder, S: ScatterSink>(
-    sink: &mut S,
-    conns: &[[u32; 4]; L],
-    elrhs: &[[[f64; L]; 3]; 4],
-    layout: &Layout,
-    rec: &mut R,
-) {
-    for l in 0..L {
+    /// Hands off a full elemental RHS, node-major, component-minor.
+    #[inline]
+    fn scatter_elemental<R: Recorder>(&mut self, elrhs: &[[V; 3]; 4], rec: &mut R) {
         for a in 0..4 {
             for d in 0..3 {
-                sink.add(conns[l][a], d, elrhs[a][d][l], layout, rec);
+                self.scatter(a, d, elrhs[a][d], rec);
             }
         }
+    }
+}
+
+/// The width-1 [`Frame`]: one element, every gather traced at its
+/// [`Layout`] address, every contribution scattered into `S` as the kernel
+/// produces it.
+pub struct ElemFrame<S> {
+    e: usize,
+    nodes: [u32; 4],
+    lay: Layout,
+    sink: S,
+}
+
+impl<S: ScatterSink> ElemFrame<S> {
+    /// Loads element `e`'s connectivity (4 traced loads).
+    #[inline]
+    pub fn load<R: Recorder>(
+        input: &AssemblyInput,
+        e: usize,
+        lay: &Layout,
+        sink: S,
+        rec: &mut R,
+    ) -> Self {
+        let nodes = gather_conn(input, e, lay, rec);
+        Self {
+            e,
+            nodes,
+            lay: *lay,
+            sink,
+        }
+    }
+}
+
+// alya:hot
+impl<S: ScatterSink> Frame<f64> for ElemFrame<S> {
+    #[inline]
+    fn layout(&self) -> Layout {
+        self.lay
+    }
+
+    #[inline]
+    fn coords<R: Recorder>(&self, input: &AssemblyInput, rec: &mut R) -> [[f64; 3]; 4] {
+        gather_coords(input, &self.nodes, &self.lay, rec)
+    }
+
+    #[inline]
+    fn velocity<R: Recorder>(&self, input: &AssemblyInput, rec: &mut R) -> [[f64; 3]; 4] {
+        gather_velocity(input, &self.nodes, &self.lay, rec)
+    }
+
+    #[inline]
+    fn nodal_scalar<R: Recorder>(&self, field: &ScalarField, base: u64, rec: &mut R) -> [f64; 4] {
+        gather_scalar(field, base, &self.nodes, &self.lay, rec)
+    }
+
+    #[inline]
+    fn nu_t<R: Recorder>(&self, input: &AssemblyInput, rec: &mut R) -> f64 {
+        match input.nu_t {
+            Some(nut) => {
+                if R::ENABLED {
+                    rec.gload(self.lay.elemental(layout::NUT_BASE, self.e));
+                }
+                nut[self.e]
+            }
+            None => 0.0,
+        }
+    }
+
+    #[inline]
+    fn scatter<R: Recorder>(&mut self, a: usize, d: usize, v: f64, rec: &mut R) {
+        self.sink.add(self.nodes[a], d, v, &self.lay, rec);
     }
 }
 
@@ -292,12 +295,13 @@ mod tests {
         let (mesh, v, p, t) = setup();
         let input = AssemblyInput::new(&mesh, &v, &p, &t);
         let layout = Layout::cpu(0, 16, mesh.num_nodes());
-        let nodes = gather_conn(&input, 0, &layout, &mut NoRecord);
+        let nodes = mesh.element(0);
         let mut rhs = VectorField::zeros(mesh.num_nodes());
-        let mut sink = DirectSink { rhs: &mut rhs };
+        let sink = DirectSink { rhs: &mut rhs };
+        let mut frame = ElemFrame::load(&input, 0, &layout, sink, &mut NoRecord);
         let elrhs = [[1.0, 2.0, 3.0]; 4];
-        scatter_elemental(&mut sink, &nodes, &elrhs, &layout, &mut NoRecord);
-        scatter_elemental(&mut sink, &nodes, &elrhs, &layout, &mut NoRecord);
+        frame.scatter_elemental(&elrhs, &mut NoRecord);
+        frame.scatter_elemental(&elrhs, &mut NoRecord);
         for &n in &nodes {
             assert_eq!(rhs.get(n as usize), [2.0, 4.0, 6.0]);
         }
@@ -308,11 +312,11 @@ mod tests {
         let (mesh, v, p, t) = setup();
         let input = AssemblyInput::new(&mesh, &v, &p, &t);
         let layout = Layout::cpu(0, 16, mesh.num_nodes());
-        let nodes = gather_conn(&input, 0, &layout, &mut NoRecord);
         let mut rhs = VectorField::zeros(mesh.num_nodes());
-        let mut sink = DirectSink { rhs: &mut rhs };
+        let sink = DirectSink { rhs: &mut rhs };
+        let mut frame = ElemFrame::load(&input, 0, &layout, sink, &mut NoRecord);
         let mut rec = TraceRecorder::new();
-        scatter_elemental(&mut sink, &nodes, &[[0.5; 3]; 4], &layout, &mut rec);
+        frame.scatter_elemental(&[[0.5; 3]; 4], &mut rec);
         let c = rec.counts();
         assert_eq!(c.global_loads, 12);
         assert_eq!(c.global_stores, 12);

@@ -14,13 +14,14 @@
 //! * [`rsp`] (**RSP**): specialized, restructured and privatized to scalars;
 //! * [`rspr`] (**RSPR**): RSP plus immediate per-node scatter.
 //!
-//! [`packed`] holds the lane-packed (cross-element SIMD) twins of B, RS,
-//! RSP and RSPR: same statements, `[f64; LANES]` at a time, bitwise equal
-//! per lane to the scalar kernels.
+//! Every kernel is written once, generic over the [`Lane`] type: `f64`
+//! runs one element through an [`ElemFrame`](crate::gather::ElemFrame)
+//! (traced gathers, in-kernel scatter), [`Lanes<L>`](crate::lanes::Lanes)
+//! runs a pack of `L` elements through a
+//! [`PackFrame`](crate::packs::PackFrame), every lane bitwise equal to the
+//! width-1 run of its element.
 
 pub mod baseline;
-pub mod generic;
-pub mod packed;
 pub mod rs;
 pub mod rsp;
 pub mod rspr;
@@ -28,18 +29,48 @@ pub(crate) mod shared;
 
 use alya_machine::Recorder;
 
-/// Tracked thread-private scalar: the value plus its lifetime identity for
-/// the register allocator.
+use crate::gather::Frame;
+use crate::input::AssemblyInput;
+use crate::lanes::Lane;
+use crate::variant::Variant;
+use crate::workspace::Ws;
+
+/// Runs `variant` on one frame — one element or one pack. `ws_buf` must
+/// hold `variant.nvalues() × stride` floats for the workspace variants (it
+/// is ignored by RSP/RSPR); `stride`/`lane` place the frame's values
+/// within the interleaved buffer.
+// alya:hot
+#[inline]
+pub fn run<V: Lane, F: Frame<V>, R: Recorder>(
+    variant: Variant,
+    input: &AssemblyInput,
+    frame: &mut F,
+    ws_buf: &mut [f64],
+    stride: usize,
+    lane: usize,
+    rec: &mut R,
+) {
+    match variant {
+        Variant::B => baseline::element(input, frame, &mut Ws::global(ws_buf, stride, lane), rec),
+        Variant::P => baseline::element(input, frame, &mut Ws::local(ws_buf), rec),
+        Variant::Rs => rs::element(input, frame, &mut Ws::global(ws_buf, stride, lane), rec),
+        Variant::Rsp => rsp::element(input, frame, rec),
+        Variant::Rspr => rspr::element(input, frame, rec),
+    }
+}
+
+/// Tracked thread-private value: the value (one element's, or a pack's
+/// lanes) plus its lifetime identity for the register allocator.
 #[derive(Debug, Clone, Copy)]
-pub struct Pv {
-    val: f64,
+pub struct Pv<V = f64> {
+    val: V,
     id: u32,
 }
 
-impl Pv {
+impl<V: Copy> Pv<V> {
     /// Reads the value, recording a register use.
     #[inline]
-    pub fn get<R: Recorder>(self, rec: &mut R) -> f64 {
+    pub fn get<R: Recorder>(self, rec: &mut R) -> V {
         if R::ENABLED {
             rec.use_(self.id);
         }
@@ -49,7 +80,7 @@ impl Pv {
     /// Updates the value in place (same register, new definition — the
     /// accumulator pattern).
     #[inline]
-    pub fn set<R: Recorder>(&mut self, val: f64, rec: &mut R) {
+    pub fn set<R: Recorder>(&mut self, val: V, rec: &mut R) {
         if R::ENABLED {
             rec.def(self.id);
         }
@@ -72,7 +103,7 @@ impl PrivAlloc {
 
     /// Defines a new private value.
     #[inline]
-    pub fn def<R: Recorder>(&mut self, val: f64, rec: &mut R) -> Pv {
+    pub fn def<V, R: Recorder>(&mut self, val: V, rec: &mut R) -> Pv<V> {
         let id = self.next;
         self.next += 1;
         if R::ENABLED {
@@ -83,7 +114,7 @@ impl PrivAlloc {
 
     /// Defines a private 3-vector.
     #[inline]
-    pub fn def3<R: Recorder>(&mut self, val: [f64; 3], rec: &mut R) -> [Pv; 3] {
+    pub fn def3<V: Copy, R: Recorder>(&mut self, val: [V; 3], rec: &mut R) -> [Pv<V>; 3] {
         [
             self.def(val[0], rec),
             self.def(val[1], rec),
@@ -94,7 +125,7 @@ impl PrivAlloc {
 
 /// Reads a private 3-vector.
 #[inline]
-pub fn get3<R: Recorder>(v: &[Pv; 3], rec: &mut R) -> [f64; 3] {
+pub fn get3<V: Copy, R: Recorder>(v: &[Pv<V>; 3], rec: &mut R) -> [V; 3] {
     [v[0].get(rec), v[1].get(rec), v[2].get(rec)]
 }
 

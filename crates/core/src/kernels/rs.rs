@@ -15,27 +15,27 @@
 use alya_fem::element::Tet4;
 use alya_machine::Recorder;
 
-use crate::gather::ScatterSink;
+use crate::gather::Frame;
 use crate::input::AssemblyInput;
 use crate::kernels::shared;
-use crate::layout::Layout;
+use crate::lanes::Lane;
 use crate::ops;
 use crate::workspace::Ws;
 
-// ---- Workspace value catalog (shared with the packed twin) ----------------
-pub(crate) const ELCOD: usize = 0; // 12: gathered node coordinates
-pub(crate) const ELVEL: usize = 12; // 12: gathered velocities
-pub(crate) const ELPRE: usize = 24; // 4:  gathered pressures
-pub(crate) const CARTE: usize = 28; // 12: constant shape gradients
-pub(crate) const VOL: usize = 40; // 1:  element volume
-pub(crate) const GVE: usize = 41; // 9:  (constant) velocity gradient
-pub(crate) const NUT: usize = 50; // 1:  Vreman nu_t, one per element
-pub(crate) const GPADV: usize = 51; // 12: advection velocity per Gauss point
-pub(crate) const GPCON: usize = 63; // 12: convection vector per Gauss point
-pub(crate) const PBAR: usize = 75; // 1:  mean elemental pressure
-pub(crate) const FORCE: usize = 76; // 3:  rho * body force
-pub(crate) const DIFF: usize = 79; // 12: per-node diffusion fluxes
-pub(crate) const ELRHS: usize = 91; // 12: elemental RHS
+// ---- Workspace value catalog ------------------------------------------------
+const ELCOD: usize = 0; // 12: gathered node coordinates
+const ELVEL: usize = 12; // 12: gathered velocities
+const ELPRE: usize = 24; // 4:  gathered pressures
+const CARTE: usize = 28; // 12: constant shape gradients
+const VOL: usize = 40; // 1:  element volume
+const GVE: usize = 41; // 9:  (constant) velocity gradient
+const NUT: usize = 50; // 1:  Vreman nu_t, one per element
+const GPADV: usize = 51; // 12: advection velocity per Gauss point
+const GPCON: usize = 63; // 12: convection vector per Gauss point
+const PBAR: usize = 75; // 1:  mean elemental pressure
+const FORCE: usize = 76; // 3:  rho * body force
+const DIFF: usize = 79; // 12: per-node diffusion fluxes
+const ELRHS: usize = 91; // 12: elemental RHS
 
 /// Workspace slots per element.
 pub const NVALUES: usize = 103;
@@ -115,24 +115,23 @@ pub const fn input_loads_per_element() -> u64 {
     (1 + 3 + 3 + 1) * NNODE
 }
 
-/// Assembles one element the RS way.
+/// Assembles one element (or one pack) the RS way.
 // alya:hot
-pub fn element<R: Recorder, S: ScatterSink>(
+pub fn element<V: Lane, F: Frame<V>, R: Recorder>(
     input: &AssemblyInput,
-    e: usize,
-    lay: &Layout,
-    ws: &mut Ws,
-    sink: &mut S,
+    frame: &mut F,
+    ws: &mut Ws<V>,
     rec: &mut R,
 ) {
     let rho = input.props.density;
     let mu = input.props.viscosity;
+    let lay = &frame.layout();
 
     // --- Gather into element arrays. ---
-    let nodes = shared::gather_nodal_into_ws(input, e, lay, ws, (ELCOD, ELVEL, ELPRE), rec);
+    shared::gather_nodal_into_ws(input, frame, lay, ws, (ELCOD, ELVEL, ELPRE), rec);
 
     // --- Geometry once per element (constant gradients). ---
-    let mut elcod = [[0.0; 3]; 4];
+    let mut elcod = [[V::splat(0.0); 3]; 4];
     for a in 0..4 {
         elcod[a] = ws.ld3(ELCOD + 3 * a, lay, rec);
     }
@@ -145,7 +144,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     // --- Velocity gradient, once (it is constant too). ---
     for i in 0..3 {
         for j in 0..3 {
-            let mut gv = 0.0;
+            let mut gv = V::splat(0.0);
             for a in 0..4 {
                 let c = ws.ld(CARTE + 3 * a + i, lay, rec);
                 let u = ws.ld(ELVEL + 3 * a + j, lay, rec);
@@ -157,7 +156,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
 
     // --- Vreman on the fly: one value per element. ---
-    let mut gve = [[0.0; 3]; 3];
+    let mut gve = [[V::splat(0.0); 3]; 3];
     for i in 0..3 {
         for j in 0..3 {
             gve[i][j] = ws.ld(GVE + 3 * i + j, lay, rec);
@@ -172,16 +171,16 @@ pub fn element<R: Recorder, S: ScatterSink>(
     // --- Per-Gauss-point advection and convection vectors. ---
     for g in 0..Tet4::NUM_GAUSS {
         for d in 0..3 {
-            let mut adv = 0.0;
+            let mut adv = V::splat(0.0);
             for a in 0..4 {
                 let u = ws.ld(ELVEL + 3 * a + d, lay, rec);
-                adv += Tet4::SHAPE[g][a] * u;
+                adv += V::splat(Tet4::SHAPE[g][a]) * u;
             }
             rec.fma(4);
             ws.st(GPADV + 3 * g + d, adv, lay, rec);
         }
         for d in 0..3 {
-            let mut con = 0.0;
+            let mut con = V::splat(0.0);
             for i in 0..3 {
                 let adv = ws.ld(GPADV + 3 * g + i, lay, rec);
                 let gv = ws.ld(GVE + 3 * i + d, lay, rec);
@@ -189,29 +188,29 @@ pub fn element<R: Recorder, S: ScatterSink>(
             }
             rec.fma(3);
             rec.flop(1);
-            ws.st(GPCON + 3 * g + d, rho * con, lay, rec);
+            ws.st(GPCON + 3 * g + d, V::splat(rho) * con, lay, rec);
         }
     }
 
     // --- Mean pressure and force. ---
-    let mut pbar = 0.0;
+    let mut pbar = V::splat(0.0);
     for a in 0..4 {
         pbar += ws.ld(ELPRE + a, lay, rec);
     }
     rec.flop(4);
-    ws.st(PBAR, 0.25 * pbar, lay, rec);
+    ws.st(PBAR, V::splat(0.25) * pbar, lay, rec);
     for d in 0..3 {
         rec.flop(1);
-        ws.st(FORCE + d, rho * input.body_force[d], lay, rec);
+        ws.st(FORCE + d, V::splat(rho * input.body_force[d]), lay, rec);
     }
 
     // --- Direct RHS accumulation (no elemental matrix). ---
     let vol = ws.ld(VOL, lay, rec);
     rec.flop(1);
-    let gpvol = 0.25 * vol;
+    let gpvol = V::splat(0.25) * vol;
     for a in 0..4 {
         for d in 0..3 {
-            ws.st(ELRHS + 3 * a + d, 0.0, lay, rec);
+            ws.st(ELRHS + 3 * a + d, V::splat(0.0), lay, rec);
         }
     }
     for g in 0..Tet4::NUM_GAUSS {
@@ -242,12 +241,12 @@ pub fn element<R: Recorder, S: ScatterSink>(
     // Diffusion.
     let nut = ws.ld(NUT, lay, rec);
     rec.flop(2);
-    let mu_eff = mu + rho * nut;
+    let mu_eff = V::splat(mu) + V::splat(rho) * nut;
     for a in 0..4 {
         for d in 0..3 {
-            let mut flux = 0.0;
+            let mut flux = V::splat(0.0);
             for b in 0..4 {
-                let mut gdot = 0.0;
+                let mut gdot = V::splat(0.0);
                 for i in 0..3 {
                     let ca = ws.ld(CARTE + 3 * a + i, lay, rec);
                     let cb = ws.ld(CARTE + 3 * b + i, lay, rec);
@@ -266,7 +265,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
 
     // --- Scatter. ---
-    shared::scatter_rhs_from_ws(sink, &nodes, ELRHS, ws, lay, rec);
+    shared::scatter_rhs_from_ws(frame, ELRHS, ws, lay, rec);
 }
 
 #[cfg(test)]

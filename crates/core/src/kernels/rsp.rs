@@ -11,18 +11,16 @@
 use alya_fem::element::Tet4;
 use alya_machine::Recorder;
 
-use crate::gather::{self, ScatterSink};
+use crate::gather::Frame;
 use crate::input::AssemblyInput;
 use crate::kernels::{get3, shared, PrivAlloc, Pv};
-use crate::layout::Layout;
+use crate::lanes::Lane;
 
-/// Assembles one element the RSP way.
+/// Assembles one element (or one pack) the RSP way.
 // alya:hot
-pub fn element<R: Recorder, S: ScatterSink>(
+pub fn element<V: Lane, F: Frame<V>, R: Recorder>(
     input: &AssemblyInput,
-    e: usize,
-    lay: &Layout,
-    sink: &mut S,
+    frame: &mut F,
     rec: &mut R,
 ) {
     let rho = input.props.density;
@@ -31,25 +29,25 @@ pub fn element<R: Recorder, S: ScatterSink>(
 
     // --- Gather, geometry, velocity gradient, Vreman (shared prologue). ---
     let shared::SpecPrologue {
-        nodes,
         vel,
         pre,
         grads,
         vol,
         gve,
         nut,
-    } = shared::specialized_prologue(input, e, lay, &mut pa, rec);
+    } = shared::specialized_prologue(input, frame, &mut pa, rec);
 
     // --- RHS accumulators, live across the Gauss loop. ---
-    let mut rhs: [[Pv; 3]; 4] = [
-        pa.def3([0.0; 3], rec),
-        pa.def3([0.0; 3], rec),
-        pa.def3([0.0; 3], rec),
-        pa.def3([0.0; 3], rec),
+    let zero = [V::splat(0.0); 3];
+    let mut rhs: [[Pv<V>; 3]; 4] = [
+        pa.def3(zero, rec),
+        pa.def3(zero, rec),
+        pa.def3(zero, rec),
+        pa.def3(zero, rec),
     ];
 
     rec.flop(1);
-    let gpvol = 0.25 * vol.get(rec);
+    let gpvol = V::splat(0.25) * vol.get(rec);
 
     // --- Gauss loop: transient advection/convection, immediate use. ---
     for g in 0..Tet4::NUM_GAUSS {
@@ -89,9 +87,9 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
 
     // --- Scatter the completed elemental RHS. ---
-    let mut elrhs = [[0.0; 3]; 4];
+    let mut elrhs = [zero; 4];
     for a in 0..4 {
         elrhs[a] = get3(&rhs[a], rec);
     }
-    gather::scatter_elemental(sink, &nodes, &elrhs, lay, rec);
+    frame.scatter_elemental(&elrhs, rec);
 }

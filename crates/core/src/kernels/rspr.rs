@@ -12,23 +12,24 @@
 //! (The paper notes this variant is not transferable to the CPU path: it
 //! breaks the "one vectorized compute loop + one scalar scatter loop"
 //! structure. The drivers therefore only offer it with conflict-safe
-//! sinks.)
+//! sinks. At pack width the "immediate scatter" fills the pack's RHS,
+//! which the driver scatters element by element afterwards — scattering
+//! a node across lanes as it completes would reorder the accumulation
+//! wherever two lanes share a node.)
 
 use alya_fem::element::Tet4;
 use alya_machine::Recorder;
 
-use crate::gather::ScatterSink;
+use crate::gather::Frame;
 use crate::input::AssemblyInput;
 use crate::kernels::{shared, PrivAlloc, Pv};
-use crate::layout::Layout;
+use crate::lanes::Lane;
 
-/// Assembles one element the RSPR way.
+/// Assembles one element (or one pack) the RSPR way.
 // alya:hot
-pub fn element<R: Recorder, S: ScatterSink>(
+pub fn element<V: Lane, F: Frame<V>, R: Recorder>(
     input: &AssemblyInput,
-    e: usize,
-    lay: &Layout,
-    sink: &mut S,
+    frame: &mut F,
     rec: &mut R,
 ) {
     let rho = input.props.density;
@@ -40,16 +41,19 @@ pub fn element<R: Recorder, S: ScatterSink>(
     // long-lived privates): Vreman first, convection vectors second, then
     // dead. ---
     let shared::SpecPrologue {
-        nodes,
         vel,
         pre,
         grads,
         vol,
         gve,
         nut,
-    } = shared::specialized_prologue(input, e, lay, &mut pa, rec);
+    } = shared::specialized_prologue(input, frame, &mut pa, rec);
 
-    let mut con: [[Pv; 3]; Tet4::NUM_GAUSS] = [[Pv { val: 0.0, id: 0 }; 3]; Tet4::NUM_GAUSS];
+    let unset = Pv {
+        val: V::splat(0.0),
+        id: 0,
+    };
+    let mut con = [[unset; 3]; Tet4::NUM_GAUSS];
     for (g, con_g) in con.iter_mut().enumerate() {
         *con_g = shared::gauss_convection(g, &vel, &gve, rho, &mut pa, rec);
     }
@@ -57,11 +61,11 @@ pub fn element<R: Recorder, S: ScatterSink>(
     let (pbar, mu_eff) = shared::mean_pressure_and_mu_eff(&pre, nut, rho, mu, &mut pa, rec);
     rec.flop(1);
     let volv = vol.get(rec);
-    let gpvol = 0.25 * volv;
+    let gpvol = V::splat(0.25) * volv;
 
     // --- Node loop: finish three components, scatter, discard. ---
     for a in 0..4 {
-        let mut acc_raw = [0.0; 3];
+        let mut acc_raw = [V::splat(0.0); 3];
         // Convection.
         for g in 0..Tet4::NUM_GAUSS {
             for (d, acc_d) in acc_raw.iter_mut().enumerate() {
@@ -85,7 +89,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
         let acc = pa.def3(acc_raw, rec);
         // Immediate scatter: the accumulator dies right here.
         for d in 0..3 {
-            sink.add(nodes[a], d, acc[d].get(rec), lay, rec);
+            frame.scatter(a, d, acc[d].get(rec), rec);
         }
     }
 }

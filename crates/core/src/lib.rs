@@ -12,19 +12,17 @@
 //! | **RSP** | RS + privatization to scalars (register-resident, spills only under pressure) |
 //! | **RSPR**| RSP + immediate per-node scatter for minimal live ranges |
 //!
-//! B, RS, RSP and RSPR additionally have **lane-packed** twins
-//! ([`kernels::packed`], [`packs`]): [`ExecMode::Packed`] assembles
-//! `DEFAULT_LANES` elements in lockstep as `[f64; LANES]` lane arrays —
-//! the paper's cross-element `VECTOR_DIM` vectorization executed for real
-//! on the CPU — with every lane bitwise identical to the scalar path.
-//!
-//! Every kernel is written **once**, generic over
+//! Every kernel is written **once**, generic over two things. Over
 //! [`alya_machine::Recorder`]: with [`alya_machine::NoRecord`] it
 //! monomorphizes to the pure numeric code the solver and wall-clock
 //! benchmarks run; with a tracing recorder the identical code emits the
-//! event stream the performance models replay. All five variants produce
-//! the same RHS to floating-point roundoff — the crate's central invariant,
-//! enforced by tests.
+//! event stream the performance models replay. And over the [`lanes::Lane`]
+//! type: with `f64` it assembles one element, with [`lanes::Lanes`] a
+//! pack ([`packs`]) of `DEFAULT_LANES` elements in lockstep — the paper's
+//! cross-element `VECTOR_DIM` vectorization executed for real on the CPU
+//! ([`ExecMode::Packed`]), every lane bitwise identical to the width-1
+//! run. All five variants produce the same RHS to floating-point roundoff
+//! — the crate's central invariant, enforced by tests.
 //!
 //! ```
 //! use alya_core::{AssemblyInput, Variant};
@@ -46,6 +44,7 @@ pub mod drivers;
 pub mod gather;
 pub mod input;
 pub mod kernels;
+pub mod lanes;
 pub mod layout;
 pub mod listing3;
 pub mod metrics;

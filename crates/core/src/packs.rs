@@ -3,36 +3,34 @@
 //! The paper's central optimization packs `VECTOR_DIM` elements into the
 //! lanes of every intermediate so the Gauss-point loops become straight-line
 //! vector arithmetic. This module is that layout on the CPU: a *pack* is
-//! `LANES` elements executing in lockstep, every field slot an
-//! `[f64; LANES]` lane array (array-of-struct-of-arrays), and every scalar
-//! statement of the kernels a unit-stride lane loop the autovectorizer
-//! cannot miss.
+//! `L` elements executing in lockstep, every intermediate a
+//! [`Lanes<L>`] value, and every statement of the kernels a unit-stride
+//! lane loop the autovectorizer cannot miss.
 //!
-//! The packed math helpers below mirror [`crate::ops`] *statement by
-//! statement*: each lane performs exactly the floating-point operation
-//! sequence the scalar helper performs for one element, and no operation
-//! mixes lanes — so lane `l` of a packed result is bitwise identical to
-//! the scalar result for element `l`. The drivers rely on this to keep the
-//! packed execution path bit-for-bit reproducible against the scalar one.
-//!
-//! Packs carry no [`alya_machine::Recorder`] instrumentation: tracing and
-//! the machine models replay the scalar kernels (whose pack streams the
-//! analyzer already audits); the packed path exists purely to execute.
+//! [`PackFrame`] is the width-`L` [`Frame`]: it gathers whole lanes at once
+//! and collects the pack's elemental RHS in a [`PackRhs`] instead of
+//! scattering from inside the kernel. The driver then scatters it lane by
+//! lane, each lane node-major — exactly the order the width-1 run of those
+//! elements scatters in, so even two lanes sharing a node accumulate in
+//! the scalar order. Packs carry no [`Recorder`] instrumentation: tracing
+//! and the machine models replay the width-1 run.
 
-use crate::gather;
+use alya_fem::ScalarField;
+use alya_machine::Recorder;
+
+use crate::gather::Frame;
 use crate::input::AssemblyInput;
+use crate::lanes::{Lane, Lanes};
+use crate::layout::Layout;
 
 /// Default pack width: 8 f64 lanes — one AVX-512 register, two AVX2
-/// registers. [`crate::drivers`] instantiates every packed kernel at this
-/// width; the CPU machine model prices the speedup from the host's
-/// `simd_lanes` against it.
+/// registers. [`crate::drivers`] runs every packed kernel at this width;
+/// the CPU machine model prices the speedup from the host's `simd_lanes`
+/// against it.
 pub const DEFAULT_LANES: usize = 8;
 
-/// One batch of `L` elements executing in lockstep.
-///
-/// Holds the per-lane element ids and the pack-granularity connectivity
-/// gather; the field gathers ([`gather::gather_coords_pack`] etc.) and the
-/// packed kernels consume it. `L` defaults to [`DEFAULT_LANES`].
+/// One batch of `L` elements executing in lockstep: the per-lane element
+/// ids and the pack-granularity connectivity gather.
 #[derive(Debug, Clone, Copy)]
 pub struct ElemPack<const L: usize = DEFAULT_LANES> {
     /// The element ids in lane order.
@@ -46,263 +44,79 @@ impl<const L: usize> ElemPack<L> {
     // alya:hot
     #[inline]
     pub fn load(input: &AssemblyInput, elems: [usize; L]) -> Self {
-        let conns = gather::gather_conn_pack(input, &elems);
+        let conns = elems.map(|e| input.mesh.element(e));
         Self { elems, conns }
     }
-}
 
-/// Broadcasts a scalar across all lanes.
-#[inline]
-pub fn splat<const L: usize>(x: f64) -> [f64; L] {
-    [x; L]
-}
-
-/// Lanewise cube root (the Vreman filter width `vol.cbrt()`).
-// alya:hot
-#[inline]
-pub fn cbrt_pack<const L: usize>(x: &[f64; L]) -> [f64; L] {
-    let mut out = [0.0; L];
-    for l in 0..L {
-        out[l] = x[l].cbrt();
-    }
-    out
-}
-
-/// Lanewise 3×3 determinant — mirrors [`crate::ops::det3`] per lane.
-// alya:hot
-#[inline]
-pub fn det3_pack<const L: usize>(m: &[[[f64; L]; 3]; 3]) -> [f64; L] {
-    let mut out = [0.0; L];
-    for l in 0..L {
-        out[l] = m[0][0][l] * (m[1][1][l] * m[2][2][l] - m[1][2][l] * m[2][1][l])
-            - m[0][1][l] * (m[1][0][l] * m[2][2][l] - m[1][2][l] * m[2][0][l])
-            + m[0][2][l] * (m[1][0][l] * m[2][1][l] - m[1][1][l] * m[2][0][l]);
-    }
-    out
-}
-
-/// Lanewise 3×3 inverse given the determinants — mirrors
-/// [`crate::ops::inv3`] per lane.
-// alya:hot
-#[inline]
-pub fn inv3_pack<const L: usize>(m: &[[[f64; L]; 3]; 3], det: &[f64; L]) -> [[[f64; L]; 3]; 3] {
-    let mut inv = [[[0.0; L]; 3]; 3];
-    for l in 0..L {
-        let inv_d = 1.0 / det[l];
-        inv[0][0][l] = (m[1][1][l] * m[2][2][l] - m[1][2][l] * m[2][1][l]) * inv_d;
-        inv[0][1][l] = (m[0][2][l] * m[2][1][l] - m[0][1][l] * m[2][2][l]) * inv_d;
-        inv[0][2][l] = (m[0][1][l] * m[1][2][l] - m[0][2][l] * m[1][1][l]) * inv_d;
-        inv[1][0][l] = (m[1][2][l] * m[2][0][l] - m[1][0][l] * m[2][2][l]) * inv_d;
-        inv[1][1][l] = (m[0][0][l] * m[2][2][l] - m[0][2][l] * m[2][0][l]) * inv_d;
-        inv[1][2][l] = (m[0][2][l] * m[1][0][l] - m[0][0][l] * m[1][2][l]) * inv_d;
-        inv[2][0][l] = (m[1][0][l] * m[2][1][l] - m[1][1][l] * m[2][0][l]) * inv_d;
-        inv[2][1][l] = (m[0][1][l] * m[2][0][l] - m[0][0][l] * m[2][1][l]) * inv_d;
-        inv[2][2][l] = (m[0][0][l] * m[1][1][l] - m[0][1][l] * m[1][0][l]) * inv_d;
-    }
-    inv
-}
-
-/// Lanewise constant P1-tet gradients and signed volumes — mirrors
-/// [`crate::ops::tet4_grads`] per lane. Coordinates arrive AoSoA:
-/// `coords[a][d][lane]`.
-// alya:hot
-#[inline]
-pub fn tet4_grads_pack<const L: usize>(
-    coords: &[[[f64; L]; 3]; 4],
-) -> ([[[f64; L]; 3]; 4], [f64; L]) {
-    let mut j = [[[0.0; L]; 3]; 3];
-    for r in 0..3 {
-        for d in 0..3 {
+    /// Gathers a per-node value for every corner and lane:
+    /// `out[a].0[lane] = at(node)`.
+    #[inline]
+    fn gather<const N: usize>(&self, at: impl Fn(usize) -> [f64; N]) -> [[Lanes<L>; N]; 4] {
+        let mut out = [[Lanes([0.0; L]); N]; 4];
+        for a in 0..4 {
             for l in 0..L {
-                j[r][d][l] = coords[r + 1][d][l] - coords[0][d][l];
+                let v = at(self.conns[l][a] as usize);
+                for d in 0..N {
+                    out[a][d].0[l] = v[d];
+                }
             }
         }
+        out
     }
-    let det = det3_pack(&j);
-    let inv = inv3_pack(&j, &det);
-    let mut grads = [[[0.0; L]; 3]; 4];
-    for d in 0..3 {
-        for l in 0..L {
-            grads[1][d][l] = inv[d][0][l];
-            grads[2][d][l] = inv[d][1][l];
-            grads[3][d][l] = inv[d][2][l];
-            grads[0][d][l] = -(inv[d][0][l] + inv[d][1][l] + inv[d][2][l]);
-        }
-    }
-    let mut vol = [0.0; L];
-    for l in 0..L {
-        vol[l] = det[l] / 6.0;
-    }
-    (grads, vol)
 }
 
-/// Lanewise Vreman eddy viscosity — mirrors [`crate::ops::vreman`] per
-/// lane. The scalar helper's early returns become per-lane selections:
-/// β and B_β are computed unconditionally for all lanes (no lane mixes
-/// into another), and a lane whose `alpha2` underflows or whose `B_β` is
-/// non-positive selects the exact `0.0` the scalar early return produces.
+/// A pack's elemental RHS: `elrhs[a][d]` holds node `a`, component `d` of
+/// every lane.
+pub type PackRhs<const L: usize> = [[Lanes<L>; 3]; 4];
+
+/// The width-`L` [`Frame`]: gathers from an [`ElemPack`], collects the
+/// elemental RHS in a [`PackRhs`].
+pub struct PackFrame<'p, const L: usize> {
+    /// The pack being assembled.
+    pub(crate) pack: &'p ElemPack<L>,
+    /// Addresses the (untraced) workspace.
+    pub(crate) lay: Layout,
+    /// The pack's completed elemental RHS once the kernel returns.
+    pub(crate) rhs: PackRhs<L>,
+}
+
 // alya:hot
-#[inline]
-pub fn vreman_pack<const L: usize>(
-    grad: &[[[f64; L]; 3]; 3],
-    delta: &[f64; L],
-    c: f64,
-) -> [f64; L] {
-    let mut alpha2 = [0.0; L];
-    for row in grad {
-        for g in row {
-            for l in 0..L {
-                alpha2[l] += g[l] * g[l];
-            }
-        }
-    }
-    let mut d2 = [0.0; L];
-    for l in 0..L {
-        d2[l] = delta[l] * delta[l];
-    }
-    let mut beta = [[[0.0; L]; 3]; 3];
-    for i in 0..3 {
-        for j in i..3 {
-            let mut s = [0.0; L];
-            for m in grad {
-                for l in 0..L {
-                    s[l] += m[i][l] * m[j][l];
-                }
-            }
-            for l in 0..L {
-                beta[i][j][l] = d2[l] * s[l];
-                beta[j][i][l] = beta[i][j][l];
-            }
-        }
-    }
-    let mut b_beta = [0.0; L];
-    for l in 0..L {
-        b_beta[l] = beta[0][0][l] * beta[1][1][l] - beta[0][1][l] * beta[0][1][l]
-            + beta[0][0][l] * beta[2][2][l]
-            - beta[0][2][l] * beta[0][2][l]
-            + beta[1][1][l] * beta[2][2][l]
-            - beta[1][2][l] * beta[1][2][l];
-    }
-    let mut out = [0.0; L];
-    for l in 0..L {
-        out[l] = if alpha2[l] <= f64::MIN_POSITIVE || b_beta[l] <= 0.0 {
-            0.0
-        } else {
-            c * (b_beta[l] / alpha2[l]).sqrt()
-        };
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops;
-    use alya_machine::NoRecord;
-
-    const L: usize = 4;
-
-    fn lane_matrices() -> [[[f64; 3]; 3]; L] {
-        [
-            [[2.0, 0.5, 0.1], [0.2, 1.5, 0.3], [0.1, 0.4, 3.0]],
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-            [[2.0, 0.3, 0.0], [0.1, -1.0, 0.2], [0.0, 0.4, -1.0]],
-            [[0.3, -0.2, 0.7], [1.1, 0.9, -0.4], [-0.5, 0.6, 0.8]],
-        ]
+impl<const L: usize> Frame<Lanes<L>> for PackFrame<'_, L> {
+    #[inline]
+    fn layout(&self) -> Layout {
+        self.lay
     }
 
-    fn pack_of(ms: &[[[f64; 3]; 3]; L]) -> [[[f64; L]; 3]; 3] {
-        let mut p = [[[0.0; L]; 3]; 3];
-        for (l, m) in ms.iter().enumerate() {
-            for r in 0..3 {
-                for c in 0..3 {
-                    p[r][c][l] = m[r][c];
-                }
-            }
-        }
-        p
+    #[inline]
+    fn coords<R: Recorder>(&self, input: &AssemblyInput, _rec: &mut R) -> [[Lanes<L>; 3]; 4] {
+        let coords = input.mesh.coords();
+        self.pack.gather(|n| coords[n])
     }
 
-    #[test]
-    fn det_and_inv_are_bitwise_lane_mirrors_of_the_scalar_ops() {
-        let ms = lane_matrices();
-        let p = pack_of(&ms);
-        let det = det3_pack(&p);
-        let inv = inv3_pack(&p, &det);
-        for (l, m) in ms.iter().enumerate() {
-            let d = ops::det3(m, &mut NoRecord);
-            assert_eq!(det[l].to_bits(), d.to_bits());
-            let iv = ops::inv3(m, d, &mut NoRecord);
-            for r in 0..3 {
-                for c in 0..3 {
-                    assert_eq!(inv[r][c][l].to_bits(), iv[r][c].to_bits());
-                }
-            }
-        }
+    #[inline]
+    fn velocity<R: Recorder>(&self, input: &AssemblyInput, _rec: &mut R) -> [[Lanes<L>; 3]; 4] {
+        self.pack.gather(|n| input.velocity.get(n))
     }
 
-    #[test]
-    fn tet4_grads_pack_is_a_bitwise_lane_mirror() {
-        let coords_per_lane: [[[f64; 3]; 4]; L] = [
-            [
-                [0.1, 0.0, 0.0],
-                [1.2, 0.1, 0.0],
-                [0.0, 0.9, 0.2],
-                [0.1, 0.1, 1.1],
-            ],
-            [
-                [0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-            ],
-            [
-                [0.3, 0.2, 0.1],
-                [1.1, 0.4, 0.0],
-                [0.2, 1.3, 0.3],
-                [0.4, 0.2, 1.4],
-            ],
-            [
-                [-0.2, 0.1, 0.0],
-                [0.9, -0.1, 0.2],
-                [0.1, 0.8, -0.1],
-                [0.0, 0.2, 0.9],
-            ],
-        ];
-        let mut packed = [[[0.0; L]; 3]; 4];
-        for (l, coords) in coords_per_lane.iter().enumerate() {
-            for a in 0..4 {
-                for d in 0..3 {
-                    packed[a][d][l] = coords[a][d];
-                }
-            }
-        }
-        let (g, v) = tet4_grads_pack(&packed);
-        for (l, coords) in coords_per_lane.iter().enumerate() {
-            let (gs, vs) = ops::tet4_grads(coords, &mut NoRecord);
-            assert_eq!(v[l].to_bits(), vs.to_bits());
-            for a in 0..4 {
-                for d in 0..3 {
-                    assert_eq!(g[a][d][l].to_bits(), gs[a][d].to_bits());
-                }
-            }
-        }
+    #[inline]
+    fn nodal_scalar<R: Recorder>(
+        &self,
+        field: &ScalarField,
+        _base: u64,
+        _rec: &mut R,
+    ) -> [Lanes<L>; 4] {
+        self.pack.gather(|n| [field.get(n)]).map(|[v]| v)
     }
 
-    #[test]
-    fn vreman_pack_mirrors_the_scalar_branches() {
-        // Lane 1 is the identity gradient (positive B_β), lane 2 a real LES
-        // gradient, lane 3 arbitrary; a zero-gradient lane exercises the
-        // alpha2 underflow select.
-        let mut ms = lane_matrices();
-        ms[0] = [[0.0; 3]; 3];
-        let p = pack_of(&ms);
-        let delta = splat::<L>(0.1);
-        let out = vreman_pack(&p, &delta, 0.07);
-        for (l, m) in ms.iter().enumerate() {
-            let s = ops::vreman(m, 0.1, 0.07, &mut NoRecord);
-            assert_eq!(out[l].to_bits(), s.to_bits(), "lane {l}");
-        }
-        assert_eq!(out[0], 0.0);
+    #[inline]
+    fn nu_t<R: Recorder>(&self, input: &AssemblyInput, _rec: &mut R) -> Lanes<L> {
+        input.nu_t.map_or(Lanes::splat(0.0), |nut| {
+            Lanes(self.pack.elems.map(|e| nut[e]))
+        })
+    }
+
+    #[inline]
+    fn scatter<R: Recorder>(&mut self, a: usize, d: usize, v: Lanes<L>, _rec: &mut R) {
+        self.rhs[a][d] = v;
     }
 }

@@ -8,44 +8,56 @@
 //! a local access at the per-thread slot ([`Space::Local`]).
 //!
 //! The numeric buffer layout is the driver's choice (`stride`/`lane`): the
-//! CPU pack driver hands lanes of a shared interleaved buffer — so the
+//! serial driver hands lanes of a shared interleaved buffer — so the
 //! un-instrumented build really does pay the baseline's memory traffic —
-//! while tracing drivers hand a compact per-element scratch.
+//! a pack of `L` elements reads and writes all its lanes of a slot at once
+//! from the same layout at stride `L`, and tracing drivers hand a compact
+//! per-element scratch.
+
+use std::marker::PhantomData;
 
 use alya_machine::{Recorder, Space};
 
+use crate::lanes::Lane;
 use crate::layout::Layout;
 
-/// A tracked intermediate-value workspace for one element.
+/// A tracked intermediate-value workspace for one element (`V = f64`) or
+/// one pack (`V = Lanes<L>`, the buffer at stride `L`: value slot `v`'s
+/// lanes are contiguous at `v·L`).
 #[derive(Debug)]
-pub struct Ws<'a> {
+pub struct Ws<'a, V = f64> {
     data: &'a mut [f64],
     stride: usize,
     lane: usize,
     space: Space,
+    values: PhantomData<V>,
 }
 
-impl<'a> Ws<'a> {
-    /// Lane view of a shared interleaved buffer (`data[v*stride + lane]`),
-    /// traced as interleaved **global** arrays — variants B and RS.
+impl<'a, V: Lane> Ws<'a, V> {
+    /// Lane view of a shared interleaved buffer (`data[v*stride + lane]`,
+    /// `V::WIDTH` lanes from there), traced as interleaved **global**
+    /// arrays — variants B and RS.
     pub fn global(data: &'a mut [f64], stride: usize, lane: usize) -> Self {
+        debug_assert!(V::WIDTH == 1 || (stride == V::WIDTH && lane == 0));
         debug_assert!(lane < stride || stride == 1);
         Self {
             data,
             stride,
             lane,
             space: Space::Global,
+            values: PhantomData,
         }
     }
 
-    /// Compact per-element scratch traced as **local** (thread-private)
-    /// arrays — variant P.
+    /// Compact scratch traced as **local** (thread-private) arrays —
+    /// variant P.
     pub fn local(data: &'a mut [f64]) -> Self {
         Self {
             data,
-            stride: 1,
+            stride: V::WIDTH,
             lane: 0,
             space: Space::Local,
+            values: PhantomData,
         }
     }
 
@@ -59,38 +71,48 @@ impl<'a> Ws<'a> {
         self.len() == 0
     }
 
+    /// First buffer index of slot `v`. A pack's lanes of a slot are
+    /// contiguous, so its view always starts at lane 0 and strides by the
+    /// pack width — a compile-time constant the kernels' many slot
+    /// accesses fold.
     #[inline]
     fn idx(&self, v: usize) -> usize {
-        v * self.stride + self.lane
+        if V::WIDTH > 1 {
+            v * V::WIDTH
+        } else {
+            v * self.stride + self.lane
+        }
     }
 
     /// Stores intermediate value `v`.
     #[inline]
-    pub fn st<R: Recorder>(&mut self, v: usize, val: f64, layout: &Layout, rec: &mut R) {
+    pub fn st<R: Recorder>(&mut self, v: usize, val: V, layout: &Layout, rec: &mut R) {
         if R::ENABLED {
             match self.space {
                 Space::Global => rec.gstore(layout.ws(v)),
                 Space::Local => rec.lstore(v as u32),
             }
         }
-        self.data[self.idx(v)] = val;
+        let i = self.idx(v);
+        val.store(&mut self.data[i..i + V::WIDTH]);
     }
 
     /// Loads intermediate value `v`.
     #[inline]
-    pub fn ld<R: Recorder>(&self, v: usize, layout: &Layout, rec: &mut R) -> f64 {
+    pub fn ld<R: Recorder>(&self, v: usize, layout: &Layout, rec: &mut R) -> V {
         if R::ENABLED {
             match self.space {
                 Space::Global => rec.gload(layout.ws(v)),
                 Space::Local => rec.lload(v as u32),
             }
         }
-        self.data[self.idx(v)]
+        let i = self.idx(v);
+        V::load(&self.data[i..i + V::WIDTH])
     }
 
     /// Loads three consecutive values as a vector.
     #[inline]
-    pub fn ld3<R: Recorder>(&self, v: usize, layout: &Layout, rec: &mut R) -> [f64; 3] {
+    pub fn ld3<R: Recorder>(&self, v: usize, layout: &Layout, rec: &mut R) -> [V; 3] {
         [
             self.ld(v, layout, rec),
             self.ld(v + 1, layout, rec),
@@ -100,7 +122,7 @@ impl<'a> Ws<'a> {
 
     /// Stores three consecutive values.
     #[inline]
-    pub fn st3<R: Recorder>(&mut self, v: usize, val: [f64; 3], layout: &Layout, rec: &mut R) {
+    pub fn st3<R: Recorder>(&mut self, v: usize, val: [V; 3], layout: &Layout, rec: &mut R) {
         self.st(v, val[0], layout, rec);
         self.st(v + 1, val[1], layout, rec);
         self.st(v + 2, val[2], layout, rec);
@@ -110,73 +132,17 @@ impl<'a> Ws<'a> {
     /// add, and a store — the pattern the paper shows compilers emitting
     /// for `temp(:) = temp(:) + ...`).
     #[inline]
-    pub fn acc<R: Recorder>(&mut self, v: usize, inc: f64, layout: &Layout, rec: &mut R) {
+    pub fn acc<R: Recorder>(&mut self, v: usize, inc: V, layout: &Layout, rec: &mut R) {
         let old = self.ld(v, layout, rec);
         rec.flop(1);
         self.st(v, old + inc, layout, rec);
     }
 }
 
-/// AoSoA pack view of a workspace buffer: value slot `v` of lane `l` lives
-/// at `data[v*L + l]`, so every slot is a contiguous `[f64; L]` lane array
-/// and the packed B/RS kernels load and store whole lanes at once. This is
-/// the lane-packed twin of [`Ws::global`]: a store/load roundtrip through
-/// an `f64` buffer is value-preserving, so mirroring the scalar kernels'
-/// workspace traffic through a pack keeps every lane bitwise identical to
-/// the scalar element. Untracked — the packed path is pure execution; the
-/// models replay the scalar kernels.
-#[derive(Debug)]
-pub struct WsPack<'a, const L: usize = { crate::packs::DEFAULT_LANES }> {
-    data: &'a mut [f64],
-}
-
-impl<'a, const L: usize> WsPack<'a, L> {
-    /// Wraps a buffer of at least `nvalues * L` slots.
-    pub fn new(data: &'a mut [f64]) -> Self {
-        Self { data }
-    }
-
-    /// Number of value slots available.
-    pub fn len(&self) -> usize {
-        self.data.len() / L
-    }
-
-    /// True when no slots are available.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stores all lanes of value `v`.
-    // alya:hot
-    #[inline]
-    pub fn st(&mut self, v: usize, val: [f64; L]) {
-        self.data[v * L..v * L + L].copy_from_slice(&val);
-    }
-
-    /// Loads all lanes of value `v`.
-    // alya:hot
-    #[inline]
-    pub fn ld(&self, v: usize) -> [f64; L] {
-        let mut out = [0.0; L];
-        out.copy_from_slice(&self.data[v * L..v * L + L]);
-        out
-    }
-
-    /// Lanewise read-modify-write accumulation into slot `v` — the packed
-    /// twin of [`Ws::acc`].
-    // alya:hot
-    #[inline]
-    pub fn acc(&mut self, v: usize, inc: [f64; L]) {
-        let slot = &mut self.data[v * L..v * L + L];
-        for l in 0..L {
-            slot[l] += inc[l];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::Lanes;
     use alya_machine::{Event, NoRecord, TraceRecorder};
 
     fn layout() -> Layout {
@@ -258,21 +224,22 @@ mod tests {
             ws.st(1, 20.0, &l, &mut NoRecord);
         }
         {
-            let ws0 = Ws::global(&mut buf, 4, 0);
+            let ws0 = Ws::<f64>::global(&mut buf, 4, 0);
             assert_eq!(ws0.ld(1, &l, &mut NoRecord), 10.0);
         }
-        let ws2 = Ws::global(&mut buf, 4, 2);
+        let ws2 = Ws::<f64>::global(&mut buf, 4, 2);
         assert_eq!(ws2.ld(1, &l, &mut NoRecord), 20.0);
     }
 
     #[test]
     fn pack_ws_is_slot_major_lane_minor() {
         let mut buf = vec![0.0; 3 * 4];
-        let mut ws = WsPack::<4>::new(&mut buf);
+        let l = layout();
+        let mut ws = Ws::<Lanes<4>>::global(&mut buf, 4, 0);
         assert_eq!(ws.len(), 3);
-        ws.st(1, [1.0, 2.0, 3.0, 4.0]);
-        ws.acc(1, [0.5; 4]);
-        assert_eq!(ws.ld(1), [1.5, 2.5, 3.5, 4.5]);
+        ws.st(1, Lanes([1.0, 2.0, 3.0, 4.0]), &l, &mut NoRecord);
+        ws.acc(1, Lanes([0.5; 4]), &l, &mut NoRecord);
+        assert_eq!(ws.ld(1, &l, &mut NoRecord), Lanes([1.5, 2.5, 3.5, 4.5]));
         // Slot 1's lanes are contiguous at offset L.
         assert_eq!(buf[4..8], [1.5, 2.5, 3.5, 4.5]);
     }

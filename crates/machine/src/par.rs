@@ -23,6 +23,10 @@ use alya_telemetry as telemetry;
 /// Work items below this threshold run serially.
 const SERIAL_CUTOFF: usize = 256;
 
+/// Items per batch of [`par_for_each_init`] — a multiple of every element
+/// pack width the assembly drivers use.
+pub const BATCH: usize = 64;
+
 /// Optional process-wide worker cap (0 = uncapped). Set by benchmark
 /// harnesses sweeping thread counts; see [`set_thread_cap`].
 static THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
@@ -98,26 +102,25 @@ where
     out
 }
 
-/// Runs `f` over the items of `items` in parallel with per-worker state.
-/// Items are claimed in small batches from a shared atomic cursor, so
-/// imbalanced per-item cost (e.g. color classes of uneven element cost)
-/// still spreads across workers.
+/// Runs `f` over the items of `items` in parallel with per-worker state,
+/// handing it consecutive batches of at most [`BATCH`] items (the serial
+/// fast path hands the whole slice as one batch). Batches are claimed from
+/// a shared atomic cursor, so imbalanced per-item cost (e.g. color classes
+/// of uneven element cost) still spreads across workers; a batch lets the
+/// caller process several items at once (the assembly drivers run whole
+/// element packs).
 pub fn par_for_each_init<A, W, I, F>(items: &[A], init: I, f: F)
 where
     A: Sync,
     I: Fn() -> W + Sync,
-    F: Fn(&mut W, &A) + Sync,
+    F: Fn(&mut W, &[A]) + Sync,
 {
     let n = items.len();
     let workers = worker_count(n);
     if workers <= 1 {
-        let mut w = init();
-        for a in items {
-            f(&mut w, a);
-        }
+        f(&mut init(), items);
         return;
     }
-    const BATCH: usize = 64;
     let cursor = AtomicUsize::new(0);
     let ctx = telemetry::current_context();
     std::thread::scope(|s| {
@@ -133,9 +136,7 @@ where
                     if lo >= n {
                         break;
                     }
-                    for a in &items[lo..(lo + BATCH).min(n)] {
-                        f(&mut state, a);
-                    }
+                    f(&mut state, &items[lo..(lo + BATCH).min(n)]);
                 }
             });
         }
@@ -335,8 +336,11 @@ mod tests {
         par_for_each_init(
             &items,
             || (),
-            |(), &i| {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
+            |(), batch| {
+                assert!(batch.len() <= BATCH || batch.len() == items.len());
+                for &i in batch {
+                    sum.fetch_add(i as u64, Ordering::Relaxed);
+                }
             },
         );
         assert_eq!(sum.load(Ordering::Relaxed), 5000 * 4999 / 2);

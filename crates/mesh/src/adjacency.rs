@@ -78,25 +78,27 @@ pub struct ElementGraph {
 }
 
 impl ElementGraph {
-    /// Builds the conflict graph through the node→element map.
+    /// Builds the conflict graph through the node→element map. Each
+    /// neighbor is kept once (`seen_by` remembers the last element that
+    /// collected it), so only the distinct neighbors get sorted.
     pub fn build(mesh: &TetMesh, node_to_elems: &NodeToElements) -> Self {
         let ne = mesh.num_elements();
         let mut offsets = Vec::with_capacity(ne + 1);
         offsets.push(0u32);
         let mut neighbors = Vec::new();
-        let mut scratch: Vec<u32> = Vec::with_capacity(64);
+        let mut seen_by = vec![u32::MAX; ne];
         for (e, conn) in mesh.connectivity().iter().enumerate() {
-            scratch.clear();
+            let start = neighbors.len();
+            seen_by[e] = e as u32;
             for &node in conn.iter().take(NODES_PER_TET) {
-                scratch.extend_from_slice(node_to_elems.elements_of(node as usize));
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &other in &scratch {
-                if other as usize != e {
-                    neighbors.push(other);
+                for &other in node_to_elems.elements_of(node as usize) {
+                    if seen_by[other as usize] != e as u32 {
+                        seen_by[other as usize] = e as u32;
+                        neighbors.push(other);
+                    }
                 }
             }
+            neighbors[start..].sort_unstable();
             offsets.push(neighbors.len() as u32);
         }
         Self { offsets, neighbors }

@@ -241,52 +241,37 @@ fn telemetry_on_or_off_never_changes_a_bit() {
     par::set_thread_cap(None);
 }
 
-/// The lane-packed execution path is not merely equivalent to the scalar
-/// path — it is **bitwise identical**, for every variant × strategy ×
-/// worker cap. The packed kernels replay the scalar statement sequence
-/// lane by lane (no operation mixes lanes, no FMA contraction), so a
-/// 1e-12 tolerance would already be loose; this test pins equality at
-/// zero, on a mesh whose element count is *not* a multiple of the lane
-/// width so the scalar remainder path is exercised too.
-#[test]
-fn packed_execution_matches_scalar_across_variants_strategies_and_worker_counts() {
+/// Packed == scalar, bit for bit (NaN included), for every variant ×
+/// strategy × worker cap.
+fn assert_packed_matches_scalar(mesh: &alya_mesh::TetMesh, input: &AssemblyInput) {
     use alya_machine::par;
-    let mesh = BoxMeshBuilder::new(3, 3, 3).jitter(0.12).seed(41).build();
     assert!(
         mesh.num_elements() % alya_core::DEFAULT_LANES != 0,
         "fixture must exercise the scalar remainder"
     );
-    let velocity = field_from_coeffs(&mesh, &[0.4, -0.2, 0.9, 0.3, -0.6, 0.1, 0.7, 0.2, -0.4]);
-    let pressure = ScalarField::from_fn(&mesh, |p| p[0] - 0.3 * p[1] + p[2] * p[2]);
-    let temperature = ScalarField::zeros(mesh.num_nodes());
-    let input = AssemblyInput::new(&mesh, &velocity, &pressure, &temperature)
-        .props(ConstantProperties::AIR)
-        .body_force([0.05, -0.02, -0.4]);
-
+    let bits = |f: &VectorField| -> Vec<u64> { f.as_slice().iter().map(|x| x.to_bits()).collect() };
     let strategies = [
         ParallelStrategy::TwoPhase,
-        ParallelStrategy::colored(&mesh),
-        ParallelStrategy::partitioned(&mesh, 8),
-        ParallelStrategy::sharded(&mesh, 8),
+        ParallelStrategy::colored(mesh),
+        ParallelStrategy::partitioned(mesh, 8),
+        ParallelStrategy::sharded(mesh, 8),
     ];
     for cap in [1, 2, 8] {
         par::set_thread_cap(Some(cap));
-        // Variant::ALL on purpose: P has no packed twin, so the packed
-        // mode must fall back to scalar there — identically.
+        // Variant::ALL on purpose: P never packs, so the packed mode must
+        // run it one element at a time — identically.
         for variant in Variant::ALL {
-            let scalar = assemble_serial(variant, &input);
-            let packed = assemble_serial_with(variant, &input, ExecMode::Packed);
-            assert_eq!(
-                packed.max_abs_diff(&scalar),
-                0.0,
+            let scalar = assemble_serial(variant, input);
+            let packed = assemble_serial_with(variant, input, ExecMode::Packed);
+            assert!(
+                bits(&packed) == bits(&scalar),
                 "cap {cap}, {variant}: packed serial diverged from scalar"
             );
             for strategy in &strategies {
-                let scalar = assemble_parallel(variant, &input, strategy);
-                let packed = assemble_parallel_with(variant, &input, strategy, ExecMode::Packed);
-                assert_eq!(
-                    packed.max_abs_diff(&scalar),
-                    0.0,
+                let scalar = assemble_parallel(variant, input, strategy);
+                let packed = assemble_parallel_with(variant, input, strategy, ExecMode::Packed);
+                assert!(
+                    bits(&packed) == bits(&scalar),
                     "cap {cap}, {variant} × {}: packed diverged from scalar",
                     strategy.name()
                 );
@@ -294,6 +279,80 @@ fn packed_execution_matches_scalar_across_variants_strategies_and_worker_counts(
         }
     }
     par::set_thread_cap(None);
+}
+
+/// The lane-packed execution path is not merely equivalent to the scalar
+/// path — it is **bitwise identical**, for every variant × strategy ×
+/// worker cap. A pack runs the same kernel source as one element, every
+/// lane performing its element's operations in the same order (no
+/// operation mixes lanes, no FMA contraction), so a 1e-12 tolerance would
+/// already be loose; this test pins equality at zero, on a mesh whose
+/// element count is *not* a multiple of the lane width so the remainder
+/// path is exercised too.
+#[test]
+fn packed_execution_matches_scalar_across_variants_strategies_and_worker_counts() {
+    let mesh = BoxMeshBuilder::new(3, 3, 3).jitter(0.12).seed(41).build();
+    let velocity = field_from_coeffs(&mesh, &[0.4, -0.2, 0.9, 0.3, -0.6, 0.1, 0.7, 0.2, -0.4]);
+    let pressure = ScalarField::from_fn(&mesh, |p| p[0] - 0.3 * p[1] + p[2] * p[2]);
+    let temperature = ScalarField::zeros(mesh.num_nodes());
+    let input = AssemblyInput::new(&mesh, &velocity, &pressure, &temperature)
+        .props(ConstantProperties::AIR)
+        .body_force([0.05, -0.02, -0.4]);
+    assert_packed_matches_scalar(&mesh, &input);
+}
+
+/// Vreman's early exits within one pack. On an exact (power-of-two
+/// spacing, unjittered) grid the velocity is constant on the low-x cells
+/// (α² = 0: the underflow exit) and a pure one-component shear `(y, 0, 0)`
+/// on the rest (rank-1 gradient, B_β = 0 exactly: the second exit); a
+/// perturbed node makes the elements around it generic. Each element's
+/// branch is read off its traced flop count, and at least one serial pack
+/// mixes all three — still bitwise equal to the scalar run everywhere.
+#[test]
+fn packed_execution_matches_scalar_across_vreman_branches() {
+    use alya_core::drivers::{trace_element, CPU_VECTOR_DIM};
+    use alya_core::layout::Layout;
+    const L: usize = alya_core::DEFAULT_LANES;
+    let mesh = BoxMeshBuilder::new(5, 3, 3)
+        .extent(1.25, 0.75, 0.75)
+        .build();
+    let velocity = VectorField::from_fn(&mesh, |p| {
+        if p == [0.25, 0.0, 0.25] {
+            [0.3, -0.2, 0.7]
+        } else if p[0] <= 0.25 {
+            [1.0, 2.0, -0.5]
+        } else {
+            [p[1], 0.0, 0.0]
+        }
+    });
+    let pressure = ScalarField::from_fn(&mesh, |p| p[0] - p[1] * p[2]);
+    let temperature = ScalarField::zeros(mesh.num_nodes());
+    let input = AssemblyInput::new(&mesh, &velocity, &pressure, &temperature)
+        .props(ConstantProperties::AIR)
+        .body_force([0.05, -0.02, -0.4]);
+
+    let (ne, nn) = (mesh.num_elements(), mesh.num_nodes());
+    let flops: Vec<u64> = (0..ne)
+        .map(|e| {
+            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
+            trace_element(Variant::Rsp, &input, e, &lay)
+                .counts()
+                .flops()
+        })
+        .collect();
+    let mut branches = flops.clone();
+    branches.sort_unstable();
+    branches.dedup();
+    assert_eq!(
+        branches.len(),
+        3,
+        "expected three Vreman branches: {branches:?}"
+    );
+    let mixed = flops
+        .chunks_exact(L)
+        .any(|pack| branches.iter().all(|b| pack.contains(b)));
+    assert!(mixed, "no pack mixes all three Vreman branches");
+    assert_packed_matches_scalar(&mesh, &input);
 }
 
 /// Bitwise reproducibility of the packed path itself: at the fixed
@@ -425,6 +484,33 @@ fn rigid_translation_always_yields_zero_rhs() {
         for variant in Variant::ALL {
             let rhs = assemble_serial(variant, &input);
             assert!(rhs.max_abs() < 1e-11, "{variant}: {}", rhs.max_abs());
+        }
+    }
+}
+
+/// Global force balance without forcing: with ρ = 0 only the diffusion
+/// and pressure terms remain, and both are Σ_a ∇N_a = 0 per element, so
+/// every component of the assembled RHS sums to zero — in every variant.
+#[test]
+fn global_force_balance_without_forcing() {
+    let mesh = BoxMeshBuilder::new(3, 2, 2).jitter(0.1).seed(5).build();
+    let velocity = VectorField::from_fn(&mesh, |p| [p[2] * p[2], p[0] * p[1], -p[1]]);
+    let pressure = ScalarField::from_fn(&mesh, |p| p[0] * p[1] - p[2]);
+    let temperature = ScalarField::zeros(mesh.num_nodes());
+    let input =
+        AssemblyInput::new(&mesh, &velocity, &pressure, &temperature).props(ConstantProperties {
+            density: 0.0,
+            viscosity: 0.7,
+        });
+    for variant in Variant::ALL {
+        let rhs = assemble_serial(variant, &input);
+        assert!(rhs.max_abs() > 1e-3, "{variant}: degenerate input");
+        for d in 0..3 {
+            let total: f64 = rhs.component(d).iter().sum();
+            assert!(
+                total.abs() < 1e-11,
+                "{variant}: component {d} sums to {total}"
+            );
         }
     }
 }
