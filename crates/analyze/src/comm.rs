@@ -29,6 +29,7 @@
 use alya_comm::{CommReport, HALO_ENTRY_BYTES};
 use alya_core::{AssemblyInput, DistributedDriver, Variant};
 use alya_mesh::{ExchangePlan, Partition, ShardSet, TerrainMeshBuilder};
+use alya_telemetry::export::parse_json;
 
 /// Outcome of checking one live exchange against the comm contract.
 #[derive(Debug, Clone)]
@@ -271,14 +272,23 @@ pub fn check_bench_comm(json: &str) -> BenchCommReport {
     let mut violations = Vec::new();
     let mut rows_checked = 0;
 
-    let Some(target) = top_num(json, "target_elems") else {
+    let doc = match parse_json(json) {
+        Ok(doc) => doc,
+        Err(e) => {
+            return BenchCommReport {
+                rows_checked,
+                violations: vec![format!("unreadable report: {e}")],
+            }
+        }
+    };
+    let Some(target) = doc.num("target_elems") else {
         return BenchCommReport {
             rows_checked,
             violations: vec!["no \"target_elems\" field — cannot rebuild the case".into()],
         };
     };
     let mesh = TerrainMeshBuilder::with_approx_elements(target as usize).build();
-    if let Some(ne) = top_num(json, "elements") {
+    if let Some(ne) = doc.num("elements") {
         if ne as usize != mesh.num_elements() {
             violations.push(format!(
                 "recorded {} elements but the generator now yields {} — the bench predates the mesh",
@@ -288,14 +298,14 @@ pub fn check_bench_comm(json: &str) -> BenchCommReport {
         }
     }
 
-    for obj in json.split('{').skip(1) {
-        let Some(ranks) = row_num(obj, "ranks") else {
+    for obj in doc.objects() {
+        let Some(ranks) = obj.num("ranks") else {
             continue;
         };
         let (Some(halo), Some(predicted), Some(messages)) = (
-            row_num(obj, "halo_bytes"),
-            row_num(obj, "predicted_halo_bytes"),
-            row_num(obj, "messages"),
+            obj.num("halo_bytes"),
+            obj.num("predicted_halo_bytes"),
+            obj.num("messages"),
         ) else {
             violations.push(format!(
                 "row at ranks={ranks} is missing halo accounting fields"
@@ -328,10 +338,10 @@ pub fn check_bench_comm(json: &str) -> BenchCommReport {
         // Overlap accounting: the row must carry both schedules' timings
         // and a win consistent with its own blocked-wait measurements.
         let (Some(overlap_median), Some(wait_off), Some(wait_on), Some(win)) = (
-            row_num(obj, "overlap_median_s"),
-            row_num(obj, "blocked_wait_off_s"),
-            row_num(obj, "blocked_wait_on_s"),
-            row_num(obj, "overlap_win"),
+            obj.num("overlap_median_s"),
+            obj.num("blocked_wait_off_s"),
+            obj.num("blocked_wait_on_s"),
+            obj.num("overlap_win"),
         ) else {
             violations.push(format!(
                 "row at ranks={ranks} is missing overlap accounting fields"
@@ -369,22 +379,6 @@ pub fn check_bench_comm(json: &str) -> BenchCommReport {
         rows_checked,
         violations,
     }
-}
-
-/// First `"key": number` in the document (top-level fields precede rows).
-fn top_num(json: &str, key: &str) -> Option<f64> {
-    row_num(json, key)
-}
-
-/// `"key": number` within one scanned object fragment.
-fn row_num(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]

@@ -69,15 +69,14 @@
 //!    tenants inside the no-starvation band). The committed
 //!    `BENCH_serve.json` is held to the service floor: ≥ 512 concurrent
 //!    sessions, zero steady-state cold builds, ordered latency quantiles.
-//! 11. **Probe contract** ([`probe`]) — proves the always-on `alya-probe`
-//!     flight recorder is inert and useful: a pipelined distributed
-//!     assembly with the recorder on is **bitwise** identical to one with
-//!     it off (and actually recorded events), every per-thread ring stays
-//!     inside its fixed capacity, a seeded [`alya_core::HaloFault`] stall
-//!     leaves a black-box dump naming the stalled stage and the blocking
-//!     rank (with a parsing chrome-trace export), and the regression
-//!     sentinel armed from the committed `BENCH_drivers.json` /
-//!     `BENCH_comm.json` baselines stays quiet.
+//! 11. **Probe contract** ([`probe`]) — proves the always-on flight
+//!     recorder in `alya-telemetry` is inert and useful: a pipelined
+//!     distributed assembly with the recorder on is **bitwise** identical
+//!     to one with it off (and actually recorded events), every
+//!     per-thread ring stays inside its fixed capacity, and a seeded
+//!     [`alya_core::HaloFault`] stall leaves a black-box dump naming the
+//!     stalled stage and the blocking rank (with a parsing chrome-trace
+//!     export).
 //!
 //! Run all passes via the audit binary:
 //!
@@ -142,10 +141,8 @@ pub struct AuditReport {
     /// scenario, plus the committed `BENCH_serve.json` when a workspace
     /// root carried one (pass 9).
     pub serve: serve::ServeContractReport,
-    /// Probe-contract report: recorder transparency, bounded retention,
-    /// seeded-stall black-box dump, and sentinel quietness over the
-    /// committed bench baselines (pass 11; the sentinel half is
-    /// clean-skipped without a workspace root).
+    /// Probe-contract report: flight-recorder transparency, bounded
+    /// retention and the seeded-stall black-box dump (pass 11).
     pub probe: probe::ProbeContractReport,
 }
 
@@ -182,9 +179,8 @@ impl AuditReport {
 }
 
 /// Runs all passes on the canonical fixture. `workspace_root` enables the
-/// workspace-gated passes (3, 7, 8, 9's bench half and 11's sentinel
-/// half; pass it `None` when the sources aren't on disk, e.g. from an
-/// installed binary).
+/// workspace-gated passes (3, 7, 8 and 9's bench half; pass it `None`
+/// when the sources aren't on disk, e.g. from an installed binary).
 pub fn run_audit(workspace_root: Option<&Path>) -> AuditReport {
     let fx = Fixture::new();
     let input = fx.input();
@@ -206,7 +202,7 @@ pub fn run_audit(workspace_root: Option<&Path>) -> AuditReport {
             .unwrap_or_default(),
         simd: simd::check_workspace_simd(workspace_root),
         serve: serve::check_serve(workspace_root),
-        probe: probe::check_probe(&input, workspace_root),
+        probe: probe::check_probe(&input),
     }
 }
 

@@ -37,6 +37,7 @@ use alya_serve::{
     PoolConfig, ServeReport, Service, ServiceConfig, SessionSpec, SharedCase, WorkKind,
 };
 use alya_solver::StepConfig;
+use alya_telemetry::export::{parse_json, Json};
 use alya_telemetry::Metric;
 
 /// Widest acceptable weight-normalized work spread `(max−min)/mean` for
@@ -251,36 +252,30 @@ pub fn check_report(report: &ServeReport) -> ServeContractReport {
     }
 }
 
-fn num_field(row: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = row.find(&pat)? + pat.len();
-    let rest = row[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Checks the serialized serve bench rows (the contents of
 /// `BENCH_serve.json`) against the service acceptance floor. Pure.
 pub fn check_bench_rows(text: &str) -> ServeContractReport {
     let mut violations = Vec::new();
     let mut levels = Vec::new();
-    for row in text.split('{').filter(|r| r.contains("\"sessions\"")) {
-        let Some(sessions) = num_field(row, "sessions") else {
+    let doc = parse_json(text).unwrap_or_else(|e| {
+        violations.push(format!("bench: unreadable report: {e}"));
+        Json::Null
+    });
+    for row in doc.objects() {
+        let Some(sessions) = row.num("sessions") else {
             continue;
         };
         let sessions = sessions as u64;
         levels.push(sessions);
-        let p50 = num_field(row, "p50_step_ms").unwrap_or(f64::NAN);
-        let p99 = num_field(row, "p99_step_ms").unwrap_or(f64::NAN);
+        let p50 = row.num("p50_step_ms").unwrap_or(f64::NAN);
+        let p99 = row.num("p99_step_ms").unwrap_or(f64::NAN);
         if !(p50 > 0.0 && p99 > 0.0 && p50 <= p99) {
             violations.push(format!(
                 "bench: level {sessions} latency quantiles disordered or missing \
                  (p50 {p50} ms, p99 {p99} ms)"
             ));
         }
-        match num_field(row, "cold_builds_steady") {
+        match row.num("cold_builds_steady") {
             Some(c) => {
                 if c != 0.0 {
                     violations.push(format!(
@@ -293,7 +288,7 @@ pub fn check_bench_rows(text: &str) -> ServeContractReport {
                 "bench: level {sessions} does not report steady-state cold builds"
             )),
         }
-        if let Some(spread) = num_field(row, "fairness_spread") {
+        if let Some(spread) = row.num("fairness_spread") {
             if spread > FAIRNESS_BAND {
                 violations.push(format!(
                     "bench: level {sessions} fairness spread {spread:.3} exceeds the \
@@ -301,7 +296,7 @@ pub fn check_bench_rows(text: &str) -> ServeContractReport {
                 ));
             }
         }
-        if !num_field(row, "sessions_per_s").is_some_and(|s| s > 0.0) {
+        if !row.num("sessions_per_s").is_some_and(|s| s > 0.0) {
             violations.push(format!("bench: level {sessions} reports no throughput"));
         }
     }

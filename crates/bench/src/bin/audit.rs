@@ -25,9 +25,6 @@
 //! audit --seed-violation missing-safety  # unsafe without SAFETY linkage
 //! audit --seed-violation slot-leak       # skip a warm-bind rewind; expect
 //!                                        # the pass-9 isolation check
-//! audit --seed-violation perf-regression # skew the live throughput against
-//!                                        # the committed baselines; expect
-//!                                        # the pass-11 sentinel to fire
 //! ```
 //!
 //! The `--seed-violation` modes are self-tests of the analyzer: they inject
@@ -39,7 +36,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use alya_analyze::{comm, contracts, probe, races, serve, simd, sources, telemetry, Fixture};
+use alya_analyze::{comm, contracts, races, serve, simd, sources, telemetry, Fixture};
 use alya_core::drivers::{trace_element, ThroughputDb};
 use alya_core::layout::{self, Layout};
 use alya_core::{DistributedDriver, HaloFault, Variant};
@@ -225,8 +222,7 @@ fn list_modes() -> ExitCode {
     println!("  9  serve contract       pooled multi-tenant isolation, per-tenant conservation,");
     println!("                          DRR fairness, and the BENCH_serve.json service floor");
     println!("  11 probe contract       flight recorder bitwise-transparent and bounded, seeded");
-    println!("                          stalls leave a diagnosing black-box dump, and the perf");
-    println!("                          sentinel stays quiet on the committed bench baselines");
+    println!("                          stalls leave a diagnosing black-box dump");
     println!("seed modes (--seed-violation <mode>, exit 0 iff caught):");
     for (mode, what) in SEED_MODES {
         println!("  {mode:<19} {what}");
@@ -282,10 +278,6 @@ const SEED_MODES: &[(&str, &str)] = &[
     (
         "slot-leak",
         "skip the warm-bind rewind on a reused slot; pass 9's isolation check must flag it",
-    ),
-    (
-        "perf-regression",
-        "skew the live throughput to half its committed baseline; the pass-11 sentinel must fire",
     ),
 ];
 
@@ -511,46 +503,6 @@ fn seeded(mode: &str) -> ExitCode {
             let report = serve::check_report(&serve::run_pool_scenario(true));
             println!("{report}");
             !report.is_clean() && report.violations.iter().all(|v| v.contains("isolation"))
-        }
-        "perf-regression" => {
-            // Arm the sentinel from the committed bench reports and
-            // confirm it is quiet, then replay the same keys with every
-            // throughput halved — the drift a broken dispatch or a
-            // silently degraded machine would produce. Every skewed row
-            // (and nothing else) must fire the sentinel.
-            let root = sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
-            let Some(pairs) = probe::sentinel_pairs_from_workspace(&root) else {
-                eprintln!("no committed bench reports to arm the sentinel from");
-                return ExitCode::FAILURE;
-            };
-            let (baselines, quiet) = probe::check_sentinel_pairs(&pairs);
-            if baselines == 0 || !quiet.is_empty() {
-                eprintln!("committed baselines unexpectedly noisy: {quiet:?}");
-                return ExitCode::FAILURE;
-            }
-            let skewed: Vec<probe::SentinelPair> = pairs
-                .iter()
-                .map(|p| probe::SentinelPair {
-                    key: p.key.clone(),
-                    expected: p.expected,
-                    measured: if p.key.starts_with("melem_per_s/") {
-                        0.5 * p.measured
-                    } else {
-                        p.measured
-                    },
-                })
-                .collect();
-            let (_, drifts) = probe::check_sentinel_pairs(&skewed);
-            for d in &drifts {
-                println!("{d}");
-            }
-            let melem_rows = skewed
-                .iter()
-                .filter(|p| p.key.starts_with("melem_per_s/"))
-                .count();
-            melem_rows > 0
-                && drifts.len() == melem_rows
-                && drifts.iter().all(|d| d.contains("melem_per_s/"))
         }
         other => {
             eprintln!("unknown seed mode {other:?}; run `audit --list` for the full table");

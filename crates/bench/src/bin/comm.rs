@@ -157,9 +157,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Register the recorder's telemetry sink before the first span so
-    // --probe-dump captures the whole sweep.
-    alya_probe::init();
     // The session stays open for the whole sweep: the blocked-wait
     // numbers come from its counters, and --trace dumps its spans.
     let session = telemetry::session();

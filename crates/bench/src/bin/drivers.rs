@@ -203,14 +203,11 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Register the recorder's telemetry sink before the first span so
-    // --probe-dump captures the whole sweep.
-    alya_probe::init();
     // A telemetry session costs one span per timed assembly, nothing in
-    // the hot loops — only opened when an observer asked for it. The
-    // flight recorder sees this bench exclusively through the telemetry
-    // sink (no distributed stages here), so --probe-dump needs the
-    // session too or the black box comes back empty.
+    // the hot loops — only opened when an observer asked for it. Spans
+    // reach the flight recorder only from a live session (no distributed
+    // stages here), so --probe-dump needs the session too or the black
+    // box comes back empty.
     let session = (args.trace.is_some() || args.probe_dump.is_some()).then(alya_telemetry::session);
 
     let case = Case::bolund(args.elems);

@@ -215,9 +215,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Register the recorder's telemetry sink before the first span so
-    // --probe-dump captures the whole run.
-    alya_probe::init();
     let case = Case::bolund(args.elems);
     let mut cfg = StepConfig::default();
     cfg.dt = 5e-4;

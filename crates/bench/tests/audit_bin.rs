@@ -60,7 +60,7 @@ fn list_names_every_pass_and_seed_mode() {
     let out = audit(&["--list"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    for pass in ["1 ", "2 ", "3 ", "4 ", "5 ", "6 ", "7 "] {
+    for pass in ["1 ", "2 ", "3 ", "4 ", "5 ", "6 ", "7 ", "8 ", "9 ", "11 "] {
         assert!(
             stdout.contains(&format!("  {pass}")),
             "pass {pass}: {stdout}"
@@ -74,13 +74,18 @@ fn list_names_every_pass_and_seed_mode() {
         "comm-drop",
         "overlap-stall",
         "telemetry-skew",
+        "pack-divergence",
         "hot-alloc",
         "hot-panic",
         "hash-iter",
         "missing-safety",
+        "slot-leak",
     ] {
         assert!(stdout.contains(mode), "mode {mode}: {stdout}");
     }
+    // Pass 11 checks the flight recorder only: no bench-baseline
+    // sentinel line, no seed mode for one.
+    assert!(!stdout.contains("sentinel"), "{stdout}");
 }
 
 #[test]

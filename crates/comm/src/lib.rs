@@ -33,7 +33,6 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use alya_machine::par;
-use alya_probe as probe;
 use alya_telemetry as telemetry;
 use alya_telemetry::{Metric, Scope};
 
@@ -279,8 +278,7 @@ impl<M: Payload> RankHandle<M> {
         match tx.send((self.rank, msg)) {
             Ok(()) => {
                 self.stats.sent[to as usize].record(bytes);
-                telemetry::add(Scope::GLOBAL, Metric::HaloBytesPosted, bytes);
-                probe::note_comm_post(to, bytes);
+                telemetry::comm_post(to, bytes);
                 true
             }
             Err(_) => {
@@ -297,17 +295,14 @@ impl<M: Payload> RankHandle<M> {
     }
 
     /// The single blocked-wait accounting point: every nanosecond a rank
-    /// spends blocked in a receive flows through here, updating both the
-    /// per-rank [`CommReport`] field and the session's
-    /// [`Metric::BlockedWaitNs`] counter from one measurement — so the
-    /// two views can never double-count or disagree.
-    fn note_blocked(&mut self, waited: Duration) {
+    /// spends blocked in a receive from `peer` flows through here,
+    /// updating both the per-rank [`CommReport`] field and, in one
+    /// telemetry call, the session's [`Metric::BlockedWaitNs`] counter
+    /// and the flight recorder (`arrived` says whether the message came)
+    /// — so the views can never double-count or disagree.
+    fn note_blocked(&mut self, peer: u32, waited: Duration, arrived: bool) {
         self.stats.blocked += waited;
-        telemetry::add(
-            Scope::GLOBAL,
-            Metric::BlockedWaitNs,
-            waited.as_nanos() as u64,
-        );
+        telemetry::comm_wait(peer, waited.as_nanos() as u64, arrived);
     }
 
     /// Nonblocking receive from `peer`: drains the channel into the stash
@@ -365,9 +360,7 @@ impl<M: Payload> RankHandle<M> {
                 Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break None,
             }
         };
-        let waited = start.elapsed();
-        self.note_blocked(waited);
-        probe::note_comm_block(peer, waited.as_nanos() as u64, got.is_some());
+        self.note_blocked(peer, start.elapsed(), got.is_some());
         if let Some(msg) = &got {
             self.account_received(peer, msg);
         }
@@ -601,8 +594,7 @@ impl Communicator {
             // Each rank gets its own trace process row (pid 0 is the main
             // thread); the guard restores the caller's row because a
             // single-rank run executes on the calling thread.
-            let _track = telemetry::set_thread_track(r as u32 + 1, &format!("rank {r}"));
-            probe::set_thread_rank(r as u32);
+            let _track = telemetry::set_rank_track(r as u32);
             let result = f(r as u32, &mut handle);
             (result, handle.finish())
         });

@@ -61,7 +61,6 @@ use alya_comm::{
 };
 use alya_fem::VectorField;
 use alya_mesh::{ExchangePlan, Partition, Shard, ShardSet, TetMesh};
-use alya_probe as probe;
 use alya_sched::{Pipeline, SchedTrace, StageStatus, Stall, Watchdog};
 use alya_telemetry as telemetry;
 
@@ -361,7 +360,7 @@ impl DistributedDriver {
                     // fresh: every rank's ring still holds the events
                     // leading up to the stall (the stalled rank's trail
                     // of comm timeouts names the rank it waited on).
-                    probe::capture(&format!("watchdog stall: {s}"));
+                    telemetry::recorder::capture(&format!("watchdog stall: {s}"));
                     Err(s)
                 }
                 None => Ok((rhs, run.report, traces)),

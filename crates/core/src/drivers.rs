@@ -34,6 +34,7 @@ use alya_machine::par;
 use alya_machine::{NoRecord, Recorder, TraceRecorder};
 use alya_mesh::{Coloring, ElementGraph, NodeToElements, Partition, Shard, ShardSet, TetMesh};
 use alya_telemetry as telemetry;
+use alya_telemetry::export::parse_json;
 
 use crate::gather::{DirectSink, ElemFrame, ScatterSink};
 use crate::input::AssemblyInput;
@@ -330,25 +331,29 @@ pub struct ThroughputDb {
 }
 
 impl ThroughputDb {
-    /// Parses the `results` rows of a `BENCH_drivers.json` document.
-    /// Returns `None` when no well-formed row is found.
+    /// Parses the throughput rows of a `BENCH_drivers.json` document:
+    /// every object carrying "strategy", "threads" and "melem_per_s"
+    /// (and, since the packed path landed, "variant"). Returns `None`
+    /// when the text is not JSON or holds no well-formed row.
     pub fn parse(json: &str) -> Option<Self> {
+        let doc = parse_json(json).ok()?;
         let mut rows = Vec::new();
-        // Row-oriented scan over the writer's own stable format: each
-        // result object carries "strategy", "threads" and "melem_per_s"
-        // (and, since the packed path landed, "variant").
-        for obj in json.split('{').skip(1) {
-            let Some(strategy) = str_field(obj, "strategy") else {
-                continue;
-            };
-            let variant = str_field(obj, "variant").unwrap_or_default();
-            let (Some(threads), Some(melem)) =
-                (num_field(obj, "threads"), num_field(obj, "melem_per_s"))
-            else {
+        for obj in doc.objects() {
+            let (Some(strategy), Some(threads), Some(melem)) = (
+                obj.str("strategy"),
+                obj.num("threads"),
+                obj.num("melem_per_s"),
+            ) else {
                 continue;
             };
             if threads >= 1.0 && melem.is_finite() && melem > 0.0 {
-                rows.push((strategy, variant, threads as usize, melem));
+                let variant = obj.str("variant").unwrap_or_default();
+                rows.push((
+                    strategy.to_string(),
+                    variant.to_string(),
+                    threads as usize,
+                    melem,
+                ));
             }
         }
         if rows.is_empty() {
@@ -445,25 +450,6 @@ impl ThroughputDb {
         }
         out
     }
-}
-
-/// Value of a `"key": "string"` field within one scanned JSON object.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat)? + pat.len();
-    let end = obj[start..].find('"')?;
-    Some(obj[start..start + end].to_string())
-}
-
-/// Value of a `"key": number` field within one scanned JSON object.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 impl ParallelStrategy {

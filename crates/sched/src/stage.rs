@@ -3,7 +3,6 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use alya_probe as probe;
 use alya_telemetry as telemetry;
 
 use crate::trace::{BufId, BufMeta, SchedEvent, SchedTrace, StageId, StageMeta};
@@ -232,8 +231,7 @@ impl<'a, C> Pipeline<'a, C> {
                 }
                 if !started[s] {
                     started[s] = true;
-                    span_start[s] = telemetry::stamp();
-                    probe::note_stage_begin(self.stages[s].name);
+                    span_start[s] = telemetry::stage_begin(self.stages[s].name);
                     trace.events.push(SchedEvent::Started { stage: s as u32 });
                 }
                 let status = {
@@ -257,12 +255,7 @@ impl<'a, C> Pipeline<'a, C> {
                             }
                         }
                         retired[s] = true;
-                        telemetry::record_span_raw(
-                            self.stages[s].name,
-                            s as u32 + 1,
-                            span_start[s],
-                        );
-                        probe::note_stage_end(self.stages[s].name);
+                        telemetry::stage_end(self.stages[s].name, s as u32 + 1, span_start[s]);
                         trace.events.push(SchedEvent::Retired { stage: s as u32 });
                         for (t, stage) in self.stages.iter().enumerate() {
                             if !enqueued[t] && stage.deps.iter().all(|&d| retired[d as usize]) {
@@ -302,7 +295,7 @@ impl<'a, C> Pipeline<'a, C> {
                     // ring before unwinding: the black-box dump then
                     // carries the watchdog's own verdict alongside the
                     // raw event trail.
-                    probe::note_warn(&format!("watchdog: {stall}"));
+                    telemetry::recorder::note_warn(&format!("watchdog: {stall}"));
                     return Err(stall);
                 }
                 // Back off gently: yield first (another rank thread may be

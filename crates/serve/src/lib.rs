@@ -65,7 +65,8 @@ pub mod service;
 pub use pool::{PoolConfig, SessionId, SessionPool};
 pub use sched::{DrrScheduler, WorkItem};
 pub use service::{
-    AdmitError, ServeReport, Service, ServiceConfig, SessionOutcome, SessionSpec, TenantReport,
+    AdmitError, ServeReport, Service, ServiceConfig, ServiceSample, SessionOutcome, SessionSpec,
+    TenantReport,
 };
 
 /// FNV-1a offset basis.

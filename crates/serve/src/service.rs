@@ -224,6 +224,39 @@ impl ServeReport {
     }
 }
 
+/// A `top`-style live service sample — the per-tenant snapshot `serve`
+/// renders periodically (throughput, latency quantiles, fairness,
+/// cold/warm bind ratio). Built by [`Service::sample`].
+#[derive(Debug, Clone, Default)]
+pub struct ServiceSample {
+    /// Sample window, seconds.
+    pub elapsed_s: f64,
+    /// p50 work-item latency, milliseconds.
+    pub p50_step_ms: f64,
+    /// p99 work-item latency, milliseconds.
+    pub p99_step_ms: f64,
+    /// Weight-normalized fairness spread (0 = perfectly fair).
+    pub fairness_spread: f64,
+    /// Cold solver builds since service start.
+    pub cold_builds: u64,
+    /// Warm pooled binds since service start.
+    pub warm_binds: u64,
+    /// Per-tenant rows: (name, active sessions, retired sessions,
+    /// steps, work done).
+    pub tenants: Vec<(String, u32, u64, u64, u64)>,
+}
+
+impl ServiceSample {
+    /// Warm binds as a fraction of all binds (1.0 = pure slot reuse).
+    pub fn warm_ratio(&self) -> f64 {
+        let total = self.cold_builds + self.warm_binds;
+        if total == 0 {
+            return 1.0;
+        }
+        self.warm_binds as f64 / total as f64
+    }
+}
+
 struct LatencyRing {
     buf: Vec<u64>,
     used: usize,
@@ -555,16 +588,16 @@ impl Service {
         }
     }
 
-    /// A `top`-style live sample of the service for the probe sentinel:
+    /// A `top`-style live sample of the service for [`Self::top_snapshot`]:
     /// latency quantiles over the recent window, fairness spread,
     /// cold/warm bind ledger and one row per tenant. `elapsed_s` is the
     /// caller's sample window (the service does not keep wall time).
     /// Also drops a breadcrumb in the flight recorder so dumps show
     /// when the service was last sampled.
-    pub fn sample(&self, elapsed_s: f64) -> alya_probe::ServiceSample {
+    pub fn sample(&self, elapsed_s: f64) -> ServiceSample {
         let report = self.report();
-        alya_probe::note_counter("serve-top-sample", 1);
-        alya_probe::ServiceSample {
+        telemetry::recorder::note_counter("serve-top-sample", 1);
+        ServiceSample {
             elapsed_s,
             p50_step_ms: report.step_latency_ns(0.50) as f64 * 1e-6,
             p99_step_ms: report.step_latency_ns(0.99) as f64 * 1e-6,
@@ -625,6 +658,15 @@ mod tests {
     use alya_mesh::BoxMeshBuilder;
     use alya_solver::StepConfig;
     use alya_telemetry::Metric;
+
+    #[test]
+    fn service_sample_warm_ratio() {
+        let mut sample = ServiceSample::default();
+        assert_eq!(sample.warm_ratio(), 1.0);
+        sample.cold_builds = 1;
+        sample.warm_binds = 3;
+        assert_eq!(sample.warm_ratio(), 0.75);
+    }
 
     fn small_case(name: &str) -> Arc<SharedCase> {
         let mut cfg = StepConfig::default();

@@ -1,13 +1,12 @@
 //! Post-mortem black-box rendering: stitch every thread's ring into a
 //! causally-ordered human-readable report, diagnose who was waiting on
 //! whom, and export the same window as a chrome trace through
-//! `telemetry::export` — the file a stalled run leaves behind.
+//! [`crate::export`] — the file a stalled run leaves behind.
 
 use std::fmt::Write as _;
 
-use alya_telemetry::{export, SpanRecord, TelemetryReport};
-
-use crate::{Event, EventKind};
+use crate::recorder::{Event, EventKind};
+use crate::{export, SpanRecord, TelemetryReport};
 
 /// One thread's copied ring at snapshot time (oldest event first).
 #[derive(Debug, Clone)]
@@ -32,8 +31,8 @@ pub struct BlackBox {
     pub reason: String,
     /// Snapshot timestamp on the shared monotonic clock.
     pub at_ns: u64,
-    /// Warnings the bounded telemetry channel dropped (satellite fix:
-    /// the loss is surfaced here and in `drain_warnings`).
+    /// Warnings the bounded telemetry channel dropped (also surfaced by
+    /// [`crate::drain_warnings`]).
     pub warn_overflow: u64,
     /// Per-thread logs, registry order.
     pub threads: Vec<ThreadLog>,
@@ -63,7 +62,6 @@ fn describe(ev: &Event) -> String {
         }
         EventKind::Counter => format!("counter      {name} += {}", ev.a),
         EventKind::Warn => format!("warn         {name}"),
-        EventKind::Drift => format!("drift        {name} at {}‰ of baseline", ev.a),
     }
 }
 
@@ -121,7 +119,7 @@ impl BlackBox {
     /// Renders the human-readable post-mortem report.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "=== alya-probe black box: {} ===", self.reason);
+        let _ = writeln!(out, "=== alya-telemetry black box: {} ===", self.reason);
         let _ = writeln!(
             out,
             "captured at t={:.3} ms · {} thread(s) · warn overflow {}",
@@ -205,7 +203,7 @@ impl BlackBox {
     }
 
     /// Exports the snapshot as chrome `trace_event` JSON (reusing
-    /// `telemetry::export::chrome_trace`): one trace process per rank /
+    /// [`export::chrome_trace`]): one trace process per rank /
     /// thread, complete spans for everything the rings can pair.
     pub fn chrome_trace(&self) -> String {
         let mut report = TelemetryReport::default();
@@ -274,7 +272,7 @@ impl BlackBox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tag;
+    use crate::recorder::Tag;
 
     fn ev(kind: EventKind, name: &str, at_ns: u64, a: u64, b: u64) -> Event {
         Event {

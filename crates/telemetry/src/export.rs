@@ -1,4 +1,4 @@
-//! Chrome `trace_event` export and a dependency-free JSON validator.
+//! Chrome `trace_event` export and a dependency-free JSON reader.
 //!
 //! The export follows the Trace Event Format's JSON-object flavour:
 //! `"M"` metadata events name each process (rank) and thread (stage
@@ -84,164 +84,311 @@ fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Checks that `text` is one complete, well-formed JSON value.
-///
-/// A minimal recursive-descent parser (no external crates) used by the
-/// tests, the analyzer's telemetry pass and the bench bins to prove the
-/// trace files they emit actually parse.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = skip_ws(bytes, 0);
-    pos = value(bytes, pos, 0)?;
-    pos = skip_ws(bytes, pos);
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(format!("trailing data at byte {pos}"))
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any number (JSON numbers are doubles).
+    Num(f64),
+    /// A string, escapes decoded.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object; members in document order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Member `key` of an object (the first, if repeated); `None` for
+    /// other values.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
+
+    /// Numeric member `key` of an object.
+    pub fn num(&self, key: &str) -> Option<f64> {
+        match self.get(key) {
+            Some(Json::Num(x)) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// String member `key` of an object.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        match self.get(key) {
+            Some(Json::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Every object in the document, this value included, in document
+    /// order (a parent before its children) — how the bench-report
+    /// readers find their rows without fixing the nesting.
+    pub fn objects(&self) -> Vec<&Json> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(v) = stack.pop() {
+            match v {
+                Json::Obj(members) => {
+                    out.push(v);
+                    stack.extend(members.iter().rev().map(|(_, m)| m));
+                }
+                Json::Arr(items) => stack.extend(items.iter().rev()),
+                _ => {}
+            }
+        }
+        out
+    }
+}
+
+/// Parses `text` as one complete JSON value.
+///
+/// A minimal recursive-descent parser (no external crates): the tests,
+/// the analyzer and the bench bins read every committed `BENCH_*.json`
+/// through it, and [`validate_json`] proves the trace files they emit
+/// actually parse.
+pub fn parse_json(text: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        b: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value(0)?;
+    p.skip_ws();
+    if p.pos == p.b.len() {
+        Ok(v)
+    } else {
+        Err(format!("trailing data at byte {}", p.pos))
+    }
+}
+
+/// Checks that `text` is one complete, well-formed JSON value.
+pub fn validate_json(text: &str) -> Result<(), String> {
+    parse_json(text).map(|_| ())
 }
 
 const MAX_DEPTH: usize = 128;
 
-fn err(pos: usize, what: &str) -> String {
-    format!("invalid JSON at byte {pos}: {what}")
+struct Parser<'a> {
+    b: &'a [u8],
+    pos: usize,
 }
 
-fn skip_ws(b: &[u8], mut pos: usize) -> usize {
-    while pos < b.len() && matches!(b[pos], b' ' | b'\t' | b'\n' | b'\r') {
-        pos += 1;
+impl Parser<'_> {
+    fn err(&self, what: &str) -> String {
+        format!("invalid JSON at byte {}: {what}", self.pos)
     }
-    pos
-}
 
-fn value(b: &[u8], pos: usize, depth: usize) -> Result<usize, String> {
-    if depth > MAX_DEPTH {
-        return Err(err(pos, "nesting too deep"));
+    fn peek(&self) -> Option<u8> {
+        self.b.get(self.pos).copied()
     }
-    match b.get(pos) {
-        Some(b'{') => object(b, pos + 1, depth + 1),
-        Some(b'[') => array(b, pos + 1, depth + 1),
-        Some(b'"') => string(b, pos + 1),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(_) => Err(err(pos, "expected a value")),
-        None => Err(err(pos, "unexpected end of input")),
-    }
-}
 
-fn object(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos);
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b'"') {
-            return Err(err(pos, "expected an object key"));
-        }
-        pos = string(b, pos + 1)?;
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b':') {
-            return Err(err(pos, "expected ':' after key"));
-        }
-        pos = skip_ws(b, pos + 1);
-        pos = value(b, pos, depth)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(err(pos, "expected ',' or '}'")),
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-}
 
-fn array(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos);
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = skip_ws(b, pos);
-        pos = value(b, pos, depth)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(err(pos, "expected ',' or ']'")),
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            Some(_) => Err(self.err("expected a value")),
+            None => Err(self.err("unexpected end of input")),
         }
     }
-}
 
-fn string(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    // `pos` is just past the opening quote.
-    while let Some(&c) = b.get(pos) {
-        match c {
-            b'"' => return Ok(pos + 1),
-            b'\\' => match b.get(pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 2,
-                Some(b'u') => {
-                    let hex = b
-                        .get(pos + 2..pos + 6)
-                        .ok_or_else(|| err(pos, "truncated \\u escape"))?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(err(pos, "bad \\u escape"));
-                    }
-                    pos += 6;
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
+        self.pos += 1;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.err("expected an object key"));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(self.err("expected ':' after key"));
+            }
+            self.pos += 1;
+            self.skip_ws();
+            members.push((key, self.value(depth)?));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
                 }
-                _ => return Err(err(pos, "bad escape")),
-            },
-            c if c < 0x20 => return Err(err(pos, "raw control character in string")),
-            _ => pos += 1,
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
         }
     }
-    Err(err(pos, "unterminated string"))
-}
 
-fn number(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    let start = pos;
-    if b.get(pos) == Some(&b'-') {
-        pos += 1;
-    }
-    let int_digits = digits(b, &mut pos);
-    if int_digits == 0 {
-        return Err(err(start, "expected digits"));
-    }
-    if int_digits > 1 && b[start + usize::from(b[start] == b'-')] == b'0' {
-        return Err(err(start, "leading zero"));
-    }
-    if b.get(pos) == Some(&b'.') {
-        pos += 1;
-        if digits(b, &mut pos) == 0 {
-            return Err(err(pos, "expected fraction digits"));
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value(depth)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
         }
     }
-    if matches!(b.get(pos), Some(b'e' | b'E')) {
-        pos += 1;
-        if matches!(b.get(pos), Some(b'+' | b'-')) {
-            pos += 1;
-        }
-        if digits(b, &mut pos) == 0 {
-            return Err(err(pos, "expected exponent digits"));
-        }
-    }
-    Ok(pos)
-}
 
-fn digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
+    /// A string literal starting at the opening quote.
+    fn string(&mut self) -> Result<String, String> {
+        self.pos += 1;
+        let mut out = Vec::new();
+        while let Some(c) = self.peek() {
+            match c {
+                b'"' => {
+                    self.pos += 1;
+                    // The input is a `&str` and escapes decode to whole
+                    // chars, so the bytes are valid UTF-8.
+                    return String::from_utf8(out).map_err(|_| self.err("invalid UTF-8"));
+                }
+                b'\\' => {
+                    let decoded = match self.b.get(self.pos + 1) {
+                        Some(b'u') => self.unicode_escape()?,
+                        esc => {
+                            let c = match esc {
+                                Some(b'"') => '"',
+                                Some(b'\\') => '\\',
+                                Some(b'/') => '/',
+                                Some(b'b') => '\u{8}',
+                                Some(b'f') => '\u{c}',
+                                Some(b'n') => '\n',
+                                Some(b'r') => '\r',
+                                Some(b't') => '\t',
+                                _ => return Err(self.err("bad escape")),
+                            };
+                            self.pos += 2;
+                            c
+                        }
+                    };
+                    let mut buf = [0u8; 4];
+                    out.extend_from_slice(decoded.encode_utf8(&mut buf).as_bytes());
+                }
+                c if c < 0x20 => return Err(self.err("raw control character in string")),
+                c => {
+                    out.push(c);
+                    self.pos += 1;
+                }
+            }
+        }
+        Err(self.err("unterminated string"))
     }
-    *pos - start
-}
 
-fn literal(b: &[u8], pos: usize, word: &[u8]) -> Result<usize, String> {
-    if b.get(pos..pos + word.len()) == Some(word) {
-        Ok(pos + word.len())
-    } else {
-        Err(err(pos, "bad literal"))
+    /// Decodes a `\uXXXX` escape at `pos` (a surrogate pair spans two),
+    /// advancing past it. Unpaired surrogates decode to U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4(self.pos + 2)?;
+        self.pos += 6;
+        if (0xD800..0xDC00).contains(&hi) && self.b.get(self.pos..self.pos + 2) == Some(b"\\u") {
+            let lo = self.hex4(self.pos + 2)?;
+            if (0xDC00..0xE000).contains(&lo) {
+                self.pos += 6;
+                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                return Ok(char::from_u32(c).unwrap_or('\u{fffd}'));
+            }
+        }
+        Ok(char::from_u32(hi).unwrap_or('\u{fffd}'))
+    }
+
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self
+            .b
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("bad \\u escape"));
+        }
+        let text = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+        u32::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let int_digits = self.digits();
+        if int_digits == 0 {
+            return Err(self.err("expected digits"));
+        }
+        if int_digits > 1 && self.b[start + usize::from(self.b[start] == b'-')] == b'0' {
+            return Err(self.err("leading zero"));
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected fraction digits"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("expected exponent digits"));
+            }
+        }
+        std::str::from_utf8(&self.b[start..self.pos])
+            .ok()
+            .and_then(|t| t.parse().ok())
+            .map(Json::Num)
+            .ok_or_else(|| self.err("unreadable number"))
+    }
+
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+        if self.b.get(self.pos..self.pos + word.len()) == Some(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(self.err("bad literal"))
+        }
     }
 }
 
@@ -315,6 +462,36 @@ mod tests {
         ] {
             validate_json(ok).unwrap_or_else(|e| panic!("{ok:?} should parse: {e}"));
         }
+    }
+
+    #[test]
+    fn parser_returns_the_value_with_escapes_decoded() {
+        let v = parse_json(
+            "{\"a\": [1, -2.5e1, true, null], \"s\": \"x\\\"\\u00e9\\ud83d\\ude00\\n\", \"o\": {\"k\": 3}}",
+        )
+        .expect("parses");
+        assert_eq!(
+            v.get("a"),
+            Some(&Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Num(-25.0),
+                Json::Bool(true),
+                Json::Null
+            ]))
+        );
+        assert_eq!(v.str("s"), Some("x\"é😀\n"));
+        assert_eq!(v.get("o").and_then(|o| o.num("k")), Some(3.0));
+        assert_eq!(v.num("missing"), None);
+        // Objects in document order, parent first.
+        let keys: Vec<usize> = v
+            .objects()
+            .iter()
+            .map(|o| match o {
+                Json::Obj(m) => m.len(),
+                _ => 0,
+            })
+            .collect();
+        assert_eq!(keys, vec![3, 1]);
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! Chrome `trace_event` JSON timeline ([`export::chrome_trace`]) that
 //! opens directly in `chrome://tracing` / Perfetto.
 //!
+//! The same per-thread record also keeps the always-on flight recorder
+//! ([`recorder`]): a bounded ring of each thread's recent events that a
+//! watchdog stall or `--probe-dump` renders as a black-box post-mortem
+//! ([`dump`]). The ring is the record's recent history, a live
+//! session's span list its complete retention, and each instrumented
+//! event — a span, a stage start or retire ([`stage_begin`] /
+//! [`stage_end`]), a halo post ([`comm_post`]), a blocked receive
+//! ([`comm_wait`]), a warning — is written by one call at its source.
+//!
 //! ## Design rules
 //!
 //! * **Sessions are scoped.** [`scoped_session`] opens an independent
@@ -42,8 +51,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod dump;
 pub mod export;
 pub mod profile;
+pub mod recorder;
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -51,6 +62,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
+
+use recorder::EventKind;
 
 /// The paper's metric taxonomy, one typed counter per entry.
 ///
@@ -227,6 +240,16 @@ struct Registry {
     next_span_id: AtomicU64,
     session_lock: Mutex<()>,
     clock: Instant,
+    /// Every flight-recorder ring, live and retired (recycled in place).
+    rings: Mutex<Vec<Arc<Mutex<recorder::Ring>>>>,
+    /// The flight recorder's process-wide on/off gate.
+    recording: AtomicBool,
+    /// The last [`recorder::capture`] output.
+    last_dump: Mutex<Option<String>>,
+    /// Events recorded by retired rings that were since recycled (their
+    /// `seq` restarts at zero) — keeps [`recorder::total_events`]
+    /// monotonic.
+    recycled: AtomicU64,
 }
 
 /// Warning-channel capacity; beyond it new warnings are dropped (the
@@ -247,6 +270,10 @@ impl Registry {
             next_span_id: AtomicU64::new(0),
             session_lock: Mutex::new(()),
             clock: Instant::now(),
+            rings: Mutex::new(Vec::new()),
+            recording: AtomicBool::new(true),
+            last_dump: Mutex::new(None),
+            recycled: AtomicU64::new(0),
         }
     }
 }
@@ -274,6 +301,8 @@ struct Tls {
     tid: u32,
     /// Open RAII span ids, innermost last.
     stack: Vec<u64>,
+    /// This thread's flight-recorder ring, built on its first event.
+    ring: Option<recorder::RingHandle>,
 }
 
 thread_local! {
@@ -285,6 +314,7 @@ thread_local! {
             pid: 0,
             tid: 0,
             stack: Vec::new(),
+            ring: None,
         })
     };
 }
@@ -417,60 +447,10 @@ pub fn stamp() -> u64 {
 }
 
 /// Nanoseconds on the process-wide monotonic registry clock. This is the
-/// timeline every [`SpanRecord`] is stamped on; the probe flight recorder
-/// uses the same clock so black-box dumps and chrome traces align.
+/// timeline every [`SpanRecord`] and every flight-recorder event is
+/// stamped on, so black-box dumps and chrome traces align.
 pub fn now_ns() -> u64 {
     reg().clock.elapsed().as_nanos() as u64
-}
-
-/// A live telemetry event forwarded to the installed probe sink — the
-/// hook `alya-probe`'s flight recorder taps to see every span and
-/// warning without this crate depending on it.
-#[derive(Debug)]
-pub enum ProbeEvent<'a> {
-    /// A RAII span opened on the calling thread.
-    SpanBegin {
-        /// Span display name.
-        name: &'a str,
-        /// Open timestamp on the registry clock.
-        at_ns: u64,
-    },
-    /// A span completed (RAII drop or [`record_span_raw`]).
-    SpanEnd {
-        /// Span display name.
-        name: &'a str,
-        /// Start timestamp on the registry clock.
-        start_ns: u64,
-        /// End timestamp on the registry clock.
-        end_ns: u64,
-    },
-    /// A message pushed onto the warn channel (forwarded even when the
-    /// bounded channel itself had to drop it).
-    Warn {
-        /// The warning text.
-        message: &'a str,
-        /// Emission timestamp on the registry clock.
-        at_ns: u64,
-    },
-}
-
-/// A probe sink: a plain `fn` so forwarding is one indirect call and the
-/// recorder stays allocation-free on the hot side.
-pub type ProbeSink = fn(&ProbeEvent<'_>);
-
-static PROBE_SINK: OnceLock<ProbeSink> = OnceLock::new();
-
-/// Installs the process-wide probe sink (first caller wins; later calls
-/// are no-ops). `alya-probe` installs its flight recorder here.
-pub fn install_probe_sink(sink: ProbeSink) {
-    let _ = PROBE_SINK.set(sink);
-}
-
-#[inline]
-fn probe_forward(ev: &ProbeEvent<'_>) {
-    if let Some(fwd) = PROBE_SINK.get() {
-        fwd(ev);
-    }
 }
 
 /// One completed span on the shared timeline.
@@ -512,18 +492,15 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
         return Span { inner: None };
     }
     let id = reg().next_span_id.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut parent = None;
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        parent = t.stack.last().copied();
-        t.stack.push(id);
-    });
     let name = name.into();
-    let start_ns = now_ns();
-    probe_forward(&ProbeEvent::SpanBegin {
-        name: &name,
-        at_ns: start_ns,
+    let parent = TLS.with(|t| {
+        let mut t = t.borrow_mut();
+        let parent = t.stack.last().copied();
+        t.stack.push(id);
+        recorder::store(&mut t, EventKind::SpanBegin, &name, 0, 0);
+        parent
     });
+    let start_ns = now_ns();
     Span {
         inner: Some(OpenSpan {
             id,
@@ -540,11 +517,7 @@ impl Drop for Span {
             return;
         };
         let end_ns = now_ns();
-        probe_forward(&ProbeEvent::SpanEnd {
-            name: &open.name,
-            start_ns: open.start_ns,
-            end_ns,
-        });
+        recorder::record(EventKind::SpanEnd, &open.name, open.start_ns, 0);
         with_shard(|shard, t| {
             // RAII discipline makes this a pop of our own id; a guard
             // outliving its parent is removed positionally.
@@ -564,27 +537,31 @@ impl Drop for Span {
     }
 }
 
-/// Records a completed span on an explicit sub-track of the calling
-/// thread's `pid`, from `start_ns` (a [`stamp`]) to now — how the stage
-/// scheduler puts each stage on its own trace row. Unparented; no-op
-/// outside a live session or when `start_ns` is 0.
-pub fn record_span_raw(name: impl Into<Cow<'static, str>>, tid: u32, start_ns: u64) {
+/// Marks pipeline stage `name` starting on the calling thread: writes
+/// [`EventKind::StageBegin`] to the ring and returns the stage span's
+/// start (a [`stamp`]: 0 outside a live session) for [`stage_end`].
+pub fn stage_begin(name: &'static str) -> u64 {
+    recorder::record(EventKind::StageBegin, name, 0, 0);
+    stamp()
+}
+
+/// Retires pipeline stage `name`: writes [`EventKind::StageEnd`] to the
+/// ring and, when `start_ns` came from a live session, records the stage
+/// span from `start_ns` to now on sub-track `tid` of the calling
+/// thread's `pid` — how the stage scheduler puts each stage on its own
+/// trace row. The span is unparented.
+pub fn stage_end(name: &'static str, tid: u32, start_ns: u64) {
+    recorder::record(EventKind::StageEnd, name, 0, 0);
     if start_ns == 0 {
         return;
     }
     let end_ns = now_ns();
-    let name = name.into();
-    probe_forward(&ProbeEvent::SpanEnd {
-        name: &name,
-        start_ns,
-        end_ns,
-    });
     with_shard(|shard, t| {
         let id = reg().next_span_id.fetch_add(1, Ordering::Relaxed) + 1;
         lock(&shard.spans).push(SpanRecord {
             id,
             parent: None,
-            name: name.clone().into_owned(),
+            name: name.to_string(),
             pid: t.pid,
             tid,
             start_ns,
@@ -593,8 +570,30 @@ pub fn record_span_raw(name: impl Into<Cow<'static, str>>, tid: u32, start_ns: u
     });
 }
 
+/// A halo message of `bytes` posted to rank `peer`: adds
+/// [`Metric::HaloBytesPosted`] (in a live session) and writes
+/// [`EventKind::CommPost`] to the ring.
+pub fn comm_post(peer: u32, bytes: u64) {
+    add(Scope::GLOBAL, Metric::HaloBytesPosted, bytes);
+    recorder::record(EventKind::CommPost, "halo-send", u64::from(peer), bytes);
+}
+
+/// A blocking receive from rank `peer` that waited `waited_ns`: adds
+/// [`Metric::BlockedWaitNs`] (in a live session) and writes
+/// [`EventKind::CommBlock`], or [`EventKind::CommTimeout`] when the
+/// message had not `arrived`.
+pub fn comm_wait(peer: u32, waited_ns: u64, arrived: bool) {
+    add(Scope::GLOBAL, Metric::BlockedWaitNs, waited_ns);
+    let kind = if arrived {
+        EventKind::CommBlock
+    } else {
+        EventKind::CommTimeout
+    };
+    recorder::record(kind, "halo-wait", u64::from(peer), waited_ns);
+}
+
 /// Restores the thread's previous `pid` when dropped (see
-/// [`set_thread_track`]).
+/// [`set_rank_track`]).
 #[must_use = "dropping restores the previous track immediately"]
 pub struct TrackGuard {
     prev_pid: u32,
@@ -606,24 +605,23 @@ impl Drop for TrackGuard {
     }
 }
 
-/// Moves the calling thread onto trace process `pid` (labelled in the
-/// chrome export) until the guard drops — the comm runtime does this so
-/// every rank becomes its own process row. No-op outside a session.
-pub fn set_thread_track(pid: u32, label: &str) -> TrackGuard {
-    let prev_pid = TLS.with(|t| t.borrow().pid);
-    if !active() {
-        return TrackGuard { prev_pid };
-    }
+/// Marks the calling thread as executing `rank`: names its ring
+/// "rank N" for black-box dumps and, in a live session, moves it onto
+/// trace process `rank + 1` (pid 0 is the main thread), labelled the
+/// same, until the guard drops — the comm runtime does this so every
+/// rank becomes its own process row.
+pub fn set_rank_track(rank: u32) -> TrackGuard {
+    let label = format!("rank {rank}");
     TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        t.pid = pid;
-        if let Some(s) = t.session.as_ref() {
-            lock(&s.labels)
-                .entry((pid, 0))
-                .or_insert_with(|| label.to_string());
+        let t = &mut *t.borrow_mut();
+        let prev_pid = t.pid;
+        recorder::label_rank(t, rank, &label);
+        if let Some(s) = t.session.as_ref().filter(|s| s.live(t.session_id)) {
+            lock(&s.labels).entry((rank + 1, 0)).or_insert(label);
+            t.pid = rank + 1;
         }
-    });
-    TrackGuard { prev_pid }
+        TrackGuard { prev_pid }
+    })
 }
 
 /// Labels sub-track `tid` of the calling thread's `pid` (e.g. one row per
@@ -647,13 +645,11 @@ pub fn set_track_label_here(tid: u32, label: &str) {
 /// configuration problems like an unreadable bench baseline. When the
 /// channel is full the message is dropped but **counted**: the next
 /// [`drain_warnings`] surfaces the loss, and [`warn_overflow`] exposes
-/// the live count (the probe flight recorder puts it in every dump).
+/// the live count (every black-box dump carries it). The flight recorder
+/// keeps each message, dropped or not.
 pub fn warn(message: impl Into<String>) {
     let message = message.into();
-    probe_forward(&ProbeEvent::Warn {
-        message: &message,
-        at_ns: now_ns(),
-    });
+    recorder::record(EventKind::Warn, &message, 0, 0);
     let r = reg();
     let mut w = lock(&r.warnings);
     if w.len() < MAX_WARNINGS {
@@ -953,8 +949,19 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use recorder::{note_counter, set_enabled, snapshot, total_events, Tag, RING_CAP, TAG_LEN};
+
+    /// Serializes every test in this crate that records events or
+    /// touches process-wide state: the recorder gate,
+    /// [`recorder::total_events`] and the warn channel (every exclusive
+    /// session drains it). One test switching the recorder off or
+    /// draining the channel must never land inside another's recording.
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        lock(&GATE)
+    }
 
     #[test]
     fn metric_index_matches_declaration_order() {
@@ -968,6 +975,7 @@ mod tests {
 
     #[test]
     fn counters_require_an_adopted_context_and_merge_across_threads() {
+        let _g = serial();
         let s = session();
         add(Scope::GLOBAL, Metric::Flops, 5);
         let ctx = current_context();
@@ -995,6 +1003,7 @@ mod tests {
 
     #[test]
     fn scoped_counters_do_not_bleed_between_scopes() {
+        let _g = serial();
         let s = session();
         add(Scope::variant(0), Metric::ElementsAssembled, 3);
         add(Scope::variant(4), Metric::ElementsAssembled, 4);
@@ -1013,14 +1022,15 @@ mod tests {
 
     #[test]
     fn raii_spans_nest_and_raw_spans_land_on_their_tid() {
+        let _g = serial();
         let s = session();
         {
             let _outer = span("outer");
-            let start = stamp();
+            let start = stage_begin("staged");
             {
                 let _inner = span("inner");
             }
-            record_span_raw("staged", 3, start);
+            stage_end("staged", 3, start);
         }
         let report = s.finish();
         let outer = report.spans_named("outer").next().expect("outer recorded");
@@ -1035,25 +1045,27 @@ mod tests {
 
     #[test]
     fn track_guard_restores_the_previous_pid() {
+        let _g = serial();
         let s = session();
         {
-            let _t = set_thread_track(7, "rank 7");
-            let _sp = span("on rank 7");
+            let _t = set_rank_track(6);
+            let _sp = span("on rank 6");
         }
         {
             let _sp = span("back on main");
         }
         let report = s.finish();
-        assert_eq!(report.spans_named("on rank 7").next().unwrap().pid, 7);
+        assert_eq!(report.spans_named("on rank 6").next().unwrap().pid, 7);
         assert_eq!(report.spans_named("back on main").next().unwrap().pid, 0);
         assert!(report
             .track_labels
             .iter()
-            .any(|((p, t), l)| *p == 7 && *t == 0 && l == "rank 7"));
+            .any(|((p, t), l)| *p == 7 && *t == 0 && l == "rank 6"));
     }
 
     #[test]
     fn warnings_flow_with_or_without_a_session() {
+        let _g = serial();
         // Standalone channel (no session).
         drain_warnings();
         warn("standalone problem");
@@ -1069,6 +1081,7 @@ mod tests {
 
     #[test]
     fn sessions_reset_state_between_windows() {
+        let _g = serial();
         let s1 = session();
         add(Scope::GLOBAL, Metric::HaloBytesPosted, 42);
         let _sp = span("first window");
@@ -1083,6 +1096,7 @@ mod tests {
 
     #[test]
     fn concurrent_scoped_sessions_stay_isolated() {
+        let _g = serial();
         let a = scoped_session();
         let b = scoped_session();
         let (ca, cb) = (a.context(), b.context_on(3));
@@ -1109,6 +1123,7 @@ mod tests {
 
     #[test]
     fn rotate_splits_windows_and_invalidates_stale_contexts() {
+        let _g = serial();
         let mut s = scoped_session();
         let stale = s.context();
         s.adopt();
@@ -1128,6 +1143,7 @@ mod tests {
 
     #[test]
     fn readoption_of_the_same_window_keeps_the_shard() {
+        let _g = serial();
         let s = scoped_session();
         s.adopt();
         add(Scope::GLOBAL, Metric::Flops, 1);
@@ -1144,6 +1160,7 @@ mod tests {
 
     #[test]
     fn absorb_merges_reports_commutatively() {
+        let _g = serial();
         let a = scoped_session();
         a.adopt();
         add(Scope::variant(1), Metric::ElementsAssembled, 10);
@@ -1169,5 +1186,95 @@ mod tests {
             TelemetryReport::default().counter(Scope::GLOBAL, Metric::Flops),
             0
         );
+    }
+
+    /// The calling thread's own ring (the tests assert on it, never on
+    /// another thread's).
+    fn own_ring() -> dump::ThreadLog {
+        TLS.with(|t| lock(&t.borrow().ring.as_ref().expect("this thread recorded").0).log())
+    }
+
+    #[test]
+    fn tags_truncate_at_char_boundaries() {
+        let t = Tag::new("short");
+        assert_eq!(t.as_str(), "short");
+        let long = "x".repeat(TAG_LEN + 20);
+        assert_eq!(Tag::new(&long).as_str().len(), TAG_LEN);
+        // Multibyte char straddling the cut is dropped whole.
+        let awkward = format!("{}é", "a".repeat(TAG_LEN - 1));
+        let t = Tag::new(&awkward);
+        assert_eq!(t.as_str(), &awkward[..TAG_LEN - 1]);
+    }
+
+    #[test]
+    fn rings_are_bounded_and_count_evictions() {
+        let _g = serial();
+        set_enabled(true);
+        for i in 0..(RING_CAP + 7) {
+            note_counter("overflow-test", i as u64 + 1);
+        }
+        let me = own_ring();
+        assert!(me.events.len() <= RING_CAP);
+        assert!(me.dropped >= 7);
+        assert!(snapshot("bound check")
+            .threads
+            .iter()
+            .all(|t| t.events.len() <= RING_CAP));
+    }
+
+    #[test]
+    fn disabled_recorder_records_nothing_new() {
+        let _g = serial();
+        note_counter("pre-disable", 1);
+        let before = total_events();
+        set_enabled(false);
+        note_counter("while-disabled", 1);
+        assert_eq!(total_events(), before);
+        set_enabled(true);
+        note_counter("post-enable", 1);
+        assert!(total_events() > before);
+    }
+
+    #[test]
+    fn warn_channel_overflow_is_counted_and_surfaced() {
+        // The bounded warn channel never loses messages silently.
+        let _g = serial();
+        drain_warnings();
+        for i in 0..300 {
+            warn(format!("flood {i}"));
+        }
+        assert!(warn_overflow() > 0);
+        let drained = drain_warnings();
+        let last = drained.last().expect("drained something");
+        assert!(
+            last.contains("warning(s) dropped"),
+            "synthetic overflow entry missing: {last:?}"
+        );
+        assert_eq!(warn_overflow(), 0);
+        // The flight recorder saw every message, including dropped ones.
+        let seen = own_ring()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Warn && e.name.as_str().starts_with("flood"))
+            .count();
+        assert!(seen > 256, "recorder saw {seen} of 300 warnings");
+    }
+
+    #[test]
+    fn spans_reach_the_ring_only_from_live_sessions() {
+        let _g = serial();
+        set_enabled(true);
+        {
+            let _outside = span("ring-outside-session");
+        }
+        let s = session();
+        {
+            let _inside = span("ring-inside-session");
+        }
+        let _ = s.finish();
+        let events = own_ring().events;
+        let named = |n: &str| events.iter().filter(|e| e.name.as_str() == n).count();
+        assert_eq!(named("ring-outside-session"), 0);
+        assert_eq!(named("ring-inside-session"), 2);
     }
 }

@@ -14,6 +14,7 @@ use alya_core::{assemble_serial, AssemblyInput, DistributedDriver, Variant};
 use alya_fem::material::ConstantProperties;
 use alya_fem::{ScalarField, VectorField};
 use alya_mesh::{BoxMeshBuilder, Rng64, TetMesh};
+use alya_telemetry::export::parse_json;
 
 const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -226,19 +227,13 @@ fn committed_bench_comm_report_matches_the_closed_form() {
 }
 
 /// Pulls `(ranks, overlap_win)` out of each result row of the committed
-/// report (one row per line, as `comm --json` renders it).
+/// report.
 fn committed_overlap_wins(json: &str) -> Vec<(usize, f64)> {
-    fn field(line: &str, name: &str) -> Option<f64> {
-        let rest = line.split(&format!("\"{name}\": ")).nth(1)?;
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        rest[..end].trim().parse().ok()
-    }
-    let rows: Vec<(usize, f64)> = json
-        .lines()
-        .filter_map(|l| {
-            let ranks = field(l, "ranks")? as usize;
-            Some((ranks, field(l, "overlap_win")?))
-        })
+    let doc = parse_json(json).expect("committed BENCH_comm.json parses");
+    let rows: Vec<(usize, f64)> = doc
+        .objects()
+        .into_iter()
+        .filter_map(|row| Some((row.num("ranks")? as usize, row.num("overlap_win")?)))
         .collect();
     assert!(
         rows.iter().any(|&(r, _)| r >= 4),

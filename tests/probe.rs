@@ -2,8 +2,7 @@
 //! recorder on is **bitwise** identical to assembling with it off, for
 //! every variant × strategy and for the pipelined distributed driver. A
 //! seeded halo fault must leave a black-box dump naming the stalled
-//! stage and the blocking rank, and the regression sentinel armed from
-//! the committed bench baselines must stay quiet.
+//! stage and the blocking rank.
 //!
 //! The recorder's enabled gate and last-dump slot are process-global, so
 //! every test that toggles or reads them serializes on [`GATE`].
@@ -11,7 +10,6 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use alya_analyze::probe::{check_sentinel_pairs, sentinel_pairs_from_workspace};
 use alya_core::{
     assemble_parallel, assemble_serial, AssemblyInput, DistributedDriver, HaloFault,
     ParallelStrategy, Variant,
@@ -19,9 +17,9 @@ use alya_core::{
 use alya_fem::material::ConstantProperties;
 use alya_fem::{ScalarField, VectorField};
 use alya_mesh::BoxMeshBuilder;
-use alya_probe as probe;
+use alya_telemetry::recorder;
 
-/// Serializes probe-global state across the tests in this binary.
+/// Serializes recorder-global state across the tests in this binary.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn lock_gate() -> std::sync::MutexGuard<'static, ()> {
@@ -50,7 +48,6 @@ fn bits_equal(a: &VectorField, b: &VectorField) -> bool {
 #[test]
 fn recorder_on_or_off_never_changes_a_bit_across_strategies() {
     let _g = lock_gate();
-    probe::init();
     let mesh = BoxMeshBuilder::new(4, 3, 3).jitter(0.12).seed(23).build();
     let (v, p, t) = fields(&mesh);
     let input = AssemblyInput::new(&mesh, &v, &p, &t)
@@ -72,11 +69,11 @@ fn recorder_on_or_off_never_changes_a_bit_across_strategies() {
         out
     };
     for variant in Variant::ALL {
-        probe::set_enabled(true);
+        recorder::set_enabled(true);
         let on = sweep(variant);
-        probe::set_enabled(false);
+        recorder::set_enabled(false);
         let off = sweep(variant);
-        probe::set_enabled(true);
+        recorder::set_enabled(true);
         for (a, b) in on.iter().zip(&off) {
             assert!(
                 bits_equal(a, b),
@@ -89,22 +86,21 @@ fn recorder_on_or_off_never_changes_a_bit_across_strategies() {
 #[test]
 fn recorder_on_or_off_never_changes_a_distributed_bit() {
     let _g = lock_gate();
-    probe::init();
     let mesh = BoxMeshBuilder::new(4, 4, 3).jitter(0.1).seed(51).build();
     let (v, p, t) = fields(&mesh);
     let input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
     for ranks in [2, 4] {
         let driver = DistributedDriver::new(&mesh, ranks);
-        probe::set_enabled(true);
-        let before = probe::total_events();
+        recorder::set_enabled(true);
+        let before = recorder::total_events();
         let (a, ra) = driver.assemble(Variant::Rspr, &input);
         assert!(
-            probe::total_events() > before,
+            recorder::total_events() > before,
             "{ranks} ranks: the enabled recorder saw nothing"
         );
-        probe::set_enabled(false);
+        recorder::set_enabled(false);
         let (b, rb) = driver.assemble(Variant::Rspr, &input);
-        probe::set_enabled(true);
+        recorder::set_enabled(true);
         assert!(
             bits_equal(&a, &b),
             "{ranks} ranks: the flight recorder perturbed the distributed RHS"
@@ -116,9 +112,8 @@ fn recorder_on_or_off_never_changes_a_distributed_bit() {
 #[test]
 fn a_seeded_stall_leaves_a_dump_naming_stage_and_blocking_rank() {
     let _g = lock_gate();
-    probe::init();
-    probe::set_enabled(true);
-    probe::clear_last_dump();
+    recorder::set_enabled(true);
+    recorder::clear_last_dump();
     let mesh = BoxMeshBuilder::new(3, 3, 2).build();
     let (v, p, t) = fields(&mesh);
     let input = AssemblyInput::new(&mesh, &v, &p, &t);
@@ -133,7 +128,7 @@ fn a_seeded_stall_leaves_a_dump_naming_stage_and_blocking_rank() {
         .unwrap_err();
     assert!(stall.stalled.contains(&"halo-drain"));
 
-    let dump = probe::last_dump().expect("the watchdog stall captured a black box");
+    let dump = recorder::last_dump().expect("the watchdog stall captured a black box");
     assert!(
         dump.contains("stalled in \"halo-drain\""),
         "dump does not diagnose the drain stage:\n{dump}"
@@ -143,36 +138,6 @@ fn a_seeded_stall_leaves_a_dump_naming_stage_and_blocking_rank() {
         "dump does not blame the withheld rank {from}:\n{dump}"
     );
     // The same snapshot exports a parsing chrome trace.
-    let trace = probe::snapshot("probe test").chrome_trace();
+    let trace = recorder::snapshot("probe test").chrome_trace();
     alya_telemetry::export::validate_json(&trace).expect("black-box trace parses");
-}
-
-#[test]
-fn the_sentinel_is_quiet_on_the_committed_baselines_and_fires_on_a_skew() {
-    // Pure sentinel math — no recorder-global state beyond drift events,
-    // but `observe` records into the rings, so still serialize.
-    let _g = lock_gate();
-    probe::init();
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let pairs = sentinel_pairs_from_workspace(&root)
-        .expect("the workspace commits BENCH_drivers.json and BENCH_comm.json");
-    let (baselines, violations) = check_sentinel_pairs(&pairs);
-    assert!(baselines > 0);
-    assert!(violations.is_empty(), "{violations:?}");
-
-    // Halve one throughput: exactly one drift, naming the key.
-    let mut skewed = pairs;
-    let idx = skewed
-        .iter()
-        .position(|p| p.key.starts_with("melem_per_s/"))
-        .expect("throughput rows present");
-    skewed[idx].measured *= 0.5;
-    let key = skewed[idx].key.clone();
-    let (_, drifts) = check_sentinel_pairs(&skewed);
-    assert_eq!(drifts.len(), 1, "{drifts:?}");
-    assert!(drifts[0].contains(&key), "{}", drifts[0]);
 }
